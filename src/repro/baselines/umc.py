@@ -16,15 +16,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 
 
-def unique_mapping_clustering(
-    pairs: list[tuple], threshold: float = 0.0
-) -> list[tuple]:
-    """Greedy 1-1 matching. ``pairs`` are (e1, e2, sim) tuples."""
-    return [p for p in umc_frontier(pairs) if p[2] >= threshold]
-
-
 def umc_frontier(pairs: list[tuple]) -> list[tuple]:
-    """The threshold-0 UMC result, sorted by decreasing similarity.
+    """Greedy 1-1 matching of (e1, e2, sim) tuples at threshold 0, sorted
+    by decreasing similarity.
 
     Ties are broken by (e1, e2) for determinism.
     """
@@ -41,8 +35,12 @@ def umc_frontier(pairs: list[tuple]) -> list[tuple]:
 
 
 def umc_df(scored: DataFrame, threshold: float = 0.0) -> DataFrame:
-    """DataFrame wrapper: (e1, e2, sim) in -> matched (e1, e2, sim) out."""
+    """UMC at ``threshold``: (e1, e2, sim) in -> matched (e1, e2, sim) out.
+
+    By the prefix property this is the threshold-0 frontier truncated at
+    ``threshold``.
+    """
     rows = [(r["e1"], r["e2"], float(r["sim"])) for r in scored.collect()]
-    kept = unique_mapping_clustering(rows, threshold)
+    kept = [p for p in umc_frontier(rows) if p[2] >= threshold]
     spark = scored.sparkSession
     return spark.createDataFrame(kept, schema="e1 long, e2 long, sim double")

@@ -32,31 +32,40 @@ def block_quality(candidates: DataFrame, gt: DataFrame) -> dict:
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
+def candidates(
+    tokens: tuple[DataFrame, DataFrame],
+    kept: DataFrame,
+    names: tuple[DataFrame, DataFrame],
+) -> DataFrame:
+    """(e1, e2) — the distinct candidate pairs of B_N u purged B_T.
+
+    ``tokens`` and ``names`` are the pair's per-KB (eid, token) token and
+    name-key DataFrames; ``kept`` is the purged B_T index.
+    """
+    return (
+        token_blocking.candidate_pairs(*tokens, kept.select("key"))
+        .unionByName(token_blocking.candidate_pairs(*names))
+        .distinct()
+    )
+
+
 def block_stats(
     pair: KBPair, *, k: int = 2,
     budget_factor: float = purging.DEFAULT_BUDGET_FACTOR,
 ) -> dict:
     """Compute a full Table II column for one dataset."""
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    t1, t2 = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    bt_raw = token_blocking.block_index(t1, t2)
-    bt, threshold = purging.purge(bt_raw, cartesian, budget_factor)
-    bn = name_blocking.block_index(pair, k)
-
-    n1_tokens, n2_tokens = name_blocking.name_keys(pair, k)
-    kept = bt.select("key")
-    cand = token_blocking.candidate_pairs(t1, t2, kept).unionByName(
-        token_blocking.candidate_pairs(n1_tokens, n2_tokens)
-    ).distinct()
-
-    q = block_quality(cand, pair.ground_truth)
+    tokens = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
+    bt, threshold = purging.purged_token_blocks(pair, *tokens, budget_factor)
+    names = name_blocking.name_keys(pair, k)
+    bn = token_blocking.block_index(*names)
+    q = block_quality(candidates(tokens, bt, names), pair.ground_truth)
     return {
         "dataset": pair.name,
         "|BN|": bn.count(),
         "|BT|": bt.count(),
         "||BN||": token_blocking.total_comparisons(bn),
         "||BT||": token_blocking.total_comparisons(bt),
-        "|E1|*|E2|": cartesian,
+        "|E1|*|E2|": pair.kb1.n_entities() * pair.kb2.n_entities(),
         "purge_threshold": threshold,
         **q,
     }

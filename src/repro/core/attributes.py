@@ -1,12 +1,15 @@
-"""Attribute importance and automatic entity-name discovery (for H1).
+"""Predicate importance and automatic entity-name discovery (for H1).
 
 importance(p) = harmonic mean of
   support(p)          = |{e : p in e}| / |E|
   discriminability(p) = |distinct objects of p| / |{e : p in e}|
 
-The k most important attributes per KB provide the literal values that
-serve as entity *names* — no rdfs:label or schema knowledge required.
-``rdf:type`` triples are excluded (DESIGN.md §6).
+The paper uses this one formula twice: over literal attributes, whose k
+most important per KB provide the values that serve as entity *names*
+(no rdfs:label or schema knowledge required), and over relations, whose
+N most important define the neighborhoods of H3
+(:mod:`repro.core.relations`). ``rdf:type`` triples are excluded
+(DESIGN.md §6).
 """
 from __future__ import annotations
 
@@ -16,12 +19,12 @@ from pyspark.sql import functions as F
 from repro.kb.schema import KB
 
 
-def attribute_importance(kb: KB) -> DataFrame:
-    """(pred, support, discriminability, importance) over literal attributes."""
-    n_entities = kb.n_entities()
-    per_pred = kb.literals().groupBy("pred").agg(
+def importance(triples: DataFrame, obj_col: str, n_entities: int) -> DataFrame:
+    """(pred, support, discriminability, importance) of each predicate of
+    the (eid, pred, ``obj_col``) ``triples`` of a KB with ``n_entities``."""
+    per_pred = triples.groupBy("pred").agg(
         F.countDistinct("eid").alias("n_e"),
-        F.countDistinct("obj").alias("n_obj"),
+        F.countDistinct(obj_col).alias("n_obj"),
     )
     support = F.col("n_e") / F.lit(float(n_entities))
     discr = F.col("n_obj") / F.col("n_e")
@@ -33,13 +36,10 @@ def attribute_importance(kb: KB) -> DataFrame:
     )
 
 
-def top_k_name_attributes(kb: KB, k: int = 2) -> list[str]:
-    """The k attributes with the highest importance (ties by name, stable)."""
+def top_predicates(importances: DataFrame, n: int) -> list[str]:
+    """The n predicates with the highest importance (ties by name, stable)."""
     rows = (
-        attribute_importance(kb)
-        .orderBy(F.desc("importance"), F.asc("pred"))
-        .limit(k)
-        .collect()
+        importances.orderBy(F.desc("importance"), F.asc("pred")).limit(n).collect()
     )
     return [r["pred"] for r in rows]
 
@@ -51,10 +51,10 @@ def entity_names(kb: KB, k: int = 2) -> DataFrame:
     Normalization mirrors tokenization casing so that name equality is
     insensitive to case and surrounding whitespace.
     """
-    attrs = top_k_name_attributes(kb, k)
+    lits = kb.literals()
+    attrs = top_predicates(importance(lits, "obj", kb.n_entities()), k)
     return (
-        kb.literals()
-        .filter(F.col("pred").isin(attrs))
+        lits.filter(F.col("pred").isin(attrs))
         .select("eid", F.trim(F.lower(F.col("obj"))).alias("name"))
         .distinct()
     )

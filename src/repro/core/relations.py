@@ -1,53 +1,22 @@
-"""Relation importance and top-neighbor extraction (for H3).
+"""Top-neighbor extraction (for H3).
 
-The N globally most important relations per KB — same
-support/discriminability harmonic mean as attributes, over object
-properties — define each entity's ``topNneighbors``: the objects it is
-connected to through one of those N relations. No schema alignment: each
-KB ranks its own relations from its own statistics.
+The N globally most important relations per KB — the importance of
+:mod:`repro.core.attributes`, over object properties — define each
+entity's ``topNneighbors``: the objects it is connected to through one of
+those N relations. No schema alignment: each KB ranks its own relations
+from its own statistics.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.attributes import importance, top_predicates
 from repro.kb.schema import KB
-
-
-def relation_importance(kb: KB) -> DataFrame:
-    """(pred, support, discriminability, importance) over object properties."""
-    n_entities = kb.n_entities()
-    per_pred = kb.relations().groupBy("pred").agg(
-        F.countDistinct("eid").alias("n_e"),
-        F.countDistinct("nbr").alias("n_obj"),
-    )
-    support = F.col("n_e") / F.lit(float(n_entities))
-    discr = F.col("n_obj") / F.col("n_e")
-    return per_pred.select(
-        "pred",
-        support.alias("support"),
-        discr.alias("discriminability"),
-        (2 * support * discr / (support + discr)).alias("importance"),
-    )
-
-
-def top_n_relations(kb: KB, n: int = 3) -> list[str]:
-    """The n relations with the highest importance (ties by name, stable)."""
-    rows = (
-        relation_importance(kb)
-        .orderBy(F.desc("importance"), F.asc("pred"))
-        .limit(n)
-        .collect()
-    )
-    return [r["pred"] for r in rows]
 
 
 def top_neighbors(kb: KB, n: int = 3) -> DataFrame:
     """(eid, nbr) — distinct neighbors through the top-n relations."""
-    rels = top_n_relations(kb, n)
-    return (
-        kb.relations()
-        .filter(F.col("pred").isin(rels))
-        .select("eid", "nbr")
-        .distinct()
-    )
+    rels = kb.relations()
+    top = top_predicates(importance(rels, "nbr", kb.n_entities()), n)
+    return rels.filter(F.col("pred").isin(top)).select("eid", "nbr").distinct()

@@ -12,27 +12,16 @@ infrequent tokens".
 
 The sum ranges over the tokens that survive Block Purging (similarities
 "are extracted from a set of blocks"; purged blocks no longer exist),
-while EF itself is the pre-purge block size — a KB statistic.
+while EF itself is the pre-purge block size — a KB statistic. The weights
+therefore come straight from :func:`repro.blocking.token_blocking.block_index`,
+whose ``n1``/``n2`` *are* EF_E1(t)/EF_E2(t).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-
-def entity_frequency(tokens: DataFrame) -> DataFrame:
-    """(token, ef) — number of entities containing each token."""
-    return tokens.groupBy("token").agg(F.countDistinct("eid").alias("ef"))
-
-
-def token_weights(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
-    """(token, w) for tokens present in both KBs, w = 1/log2(ef1*ef2+1)."""
-    ef1 = entity_frequency(tokens1).withColumnRenamed("ef", "ef1")
-    ef2 = entity_frequency(tokens2).withColumnRenamed("ef", "ef2")
-    return ef1.join(ef2, "token").select(
-        "token",
-        (1.0 / F.log2(F.col("ef1") * F.col("ef2") + 1)).alias("w"),
-    )
+from repro.blocking.token_blocking import block_index
 
 
 def value_similarities(
@@ -44,9 +33,13 @@ def value_similarities(
     purging; None means no purging. Pairs absent from the result have
     valueSim 0 by definition.
     """
-    w = token_weights(tokens1, tokens2)
+    blocks = block_index(tokens1, tokens2)
     if kept_keys is not None:
-        w = w.join(kept_keys.select(F.col("key").alias("token")), "token")
+        blocks = blocks.join(kept_keys.select("key"), "key")
+    w = blocks.select(
+        F.col("key").alias("token"),
+        (1.0 / F.log2(F.col("n1") * F.col("n2") + 1)).alias("w"),
+    )
     t1 = tokens1.select(F.col("eid").alias("e1"), "token")
     t2 = tokens2.select(F.col("eid").alias("e2"), "token")
     return (

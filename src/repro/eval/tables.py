@@ -15,8 +15,8 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.bsl import run_bsl
 from repro.baselines.paris import run_paris
-from repro.blocking import name_blocking, purging, token_blocking
-from repro.blocking.stats import block_stats
+from repro.blocking import name_blocking, purging
+from repro.blocking.stats import block_stats, candidates
 from repro.blocking.tokenize import entity_tokens
 from repro.core.minoaner import MinoanERConfig, MinoanERResult, match
 from repro.eval.metrics import precision_recall_f1
@@ -109,17 +109,9 @@ def table2(
 
 def bsl_candidates(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()):
     """The BSL input: distinct candidate pairs of B_N u B_T (purged)."""
-    t1, t2 = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, _ = purging.purge(
-        token_blocking.block_index(t1, t2), cartesian, cfg.budget_factor
-    )
-    n1, n2 = name_blocking.name_keys(pair, cfg.k)
-    return (
-        token_blocking.candidate_pairs(t1, t2, bt.select("key"))
-        .unionByName(token_blocking.candidate_pairs(n1, n2))
-        .distinct()
-    )
+    tokens = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
+    bt, _ = purging.purged_token_blocks(pair, *tokens, cfg.budget_factor)
+    return candidates(tokens, bt, name_blocking.name_keys(pair, cfg.k))
 
 
 def evaluate_dataset(

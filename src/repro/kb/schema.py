@@ -17,6 +17,7 @@ from name-attribute selection (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -53,6 +54,11 @@ class KB:
         return self.triples.select("eid").distinct()
 
     def n_entities(self) -> int:
+        """|E|, counted on first use only: a KB's triples never change."""
+        return self._n_entities
+
+    @cached_property
+    def _n_entities(self) -> int:
         return self.entities().count()
 
     def n_triples(self) -> int:

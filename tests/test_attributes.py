@@ -1,14 +1,19 @@
-"""Tests for attribute importance and name discovery (repro.core.attributes)."""
+"""Tests for predicate importance over attributes and name discovery
+(repro.core.attributes)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.attributes import (
-    attribute_importance,
-    entity_names,
-    top_k_name_attributes,
-)
+from repro.core.attributes import entity_names, importance, top_predicates
 from repro.kb.schema import kb_from_rows
 from repro.oracle import assert_equivalent
+
+
+def attribute_importance(kb):
+    return importance(kb.literals(), "obj", kb.n_entities())
+
+
+def top_k_name_attributes(kb, k):
+    return top_predicates(attribute_importance(kb), k)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,19 @@
-"""Tests for relation importance and top neighbors (repro.core.relations)."""
+"""Tests for predicate importance over relations and top neighbors
+(repro.core.attributes, repro.core.relations)."""
 import pytest
 
-from repro.core.relations import relation_importance, top_n_relations, top_neighbors
+from repro.core.attributes import importance, top_predicates
+from repro.core.relations import top_neighbors
 from repro.kb.schema import kb_from_rows
 from repro.oracle import assert_equivalent
+
+
+def relation_importance(kb):
+    return importance(kb.relations(), "nbr", kb.n_entities())
+
+
+def top_n_relations(kb, n):
+    return top_predicates(relation_importance(kb), n)
 
 
 @pytest.fixture(scope="module")

@@ -2,33 +2,47 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.umc import umc_df, umc_frontier, unique_mapping_clustering
+from repro.baselines.umc import umc_df, umc_frontier
+
+
+def _greedy_at(pairs, t):
+    """Reference UMC at threshold t, written independently of umc.py."""
+    used1, used2, out = set(), set(), []
+    for e1, e2, sim in sorted(pairs, key=lambda p: (-p[2], p[0], p[1])):
+        if sim < t or e1 in used1 or e2 in used2:
+            continue
+        used1.add(e1)
+        used2.add(e2)
+        out.append((e1, e2, sim))
+    return out
 
 
 def test_greedy_order():
     pairs = [(1, 11, 0.9), (2, 11, 0.8), (2, 12, 0.7)]
-    got = unique_mapping_clustering(pairs)
+    got = umc_frontier(pairs)
     assert got == [(1, 11, 0.9), (2, 12, 0.7)]
 
 
-def test_threshold_prunes():
-    pairs = [(1, 11, 0.9), (2, 12, 0.3)]
-    assert unique_mapping_clustering(pairs, 0.5) == [(1, 11, 0.9)]
+def test_threshold_prunes(spark):
+    scored = spark.createDataFrame(
+        [(1, 11, 0.9), (2, 12, 0.3)], "e1 long, e2 long, sim double"
+    )
+    assert [tuple(r) for r in umc_df(scored, 0.5).collect()] == [(1, 11, 0.9)]
 
 
 def test_one_to_one():
     pairs = [(1, 11, 0.9), (1, 12, 0.8), (2, 11, 0.7), (2, 12, 0.6)]
-    got = unique_mapping_clustering(pairs)
+    got = umc_frontier(pairs)
     assert got == [(1, 11, 0.9), (2, 12, 0.6)]
 
 
 def test_tie_break_deterministic():
     pairs = [(2, 12, 0.5), (1, 11, 0.5), (1, 12, 0.5)]
-    assert unique_mapping_clustering(pairs) == [(1, 11, 0.5), (2, 12, 0.5)]
+    assert umc_frontier(pairs) == [(1, 11, 0.5), (2, 12, 0.5)]
 
 
 def test_empty():
-    assert unique_mapping_clustering([]) == []
+    assert umc_frontier([]) == []
 
 
 def test_frontier_sorted_desc():
@@ -51,12 +65,11 @@ def test_frontier_sorted_desc():
 def test_prefix_property(pairs, t):
     """UMC at threshold t == threshold-0 frontier truncated at t.
 
-    This is the property the BSL sweep relies on to evaluate 20
-    thresholds with one greedy run per configuration.
+    This is the property the BSL sweep and ``umc_df`` rely on to evaluate
+    any threshold from one greedy run. The reference skips sub-threshold
+    pairs inside the greedy loop, so they can never claim an entity.
     """
-    direct = unique_mapping_clustering(pairs, t)
-    via_frontier = [p for p in umc_frontier(pairs) if p[2] >= t]
-    assert direct == via_frontier
+    assert _greedy_at(pairs, t) == [p for p in umc_frontier(pairs) if p[2] >= t]
 
 
 @given(

@@ -140,6 +140,16 @@ def test_h3_zero_nsim_rows_ignored(spark):
     assert got == {(1, 11)}
 
 
+def test_h3_tied_nsim_breaks_by_lower_id(spark):
+    # 12 leads on value, 11 and 12 tie on nsim: the tie ranks 11 first, and
+    # with theta=0.3 that neighbor rank decides.
+    # 11 -> 0.3*0.5 + 0.7*1.0 = 0.85; 12 -> 0.3*1.0 + 0.7*0.5 = 0.65
+    vs = _vs(spark, [(1, 11, 0.5), (1, 12, 0.9)])
+    ns = _ns(spark, [(1, 11, 2.0), (1, 12, 2.0)])
+    got = {(r.e1, r.e2) for r in heuristics.h3_matches(vs, ns, theta=0.3).collect()}
+    assert got == {(1, 11)}
+
+
 def test_h3_toy_recovers_pair_3(toy_ctx):
     pair, vs, ns = toy_ctx
     h1 = h1_matches(pair)
@@ -189,3 +199,18 @@ def test_h4_keeps_columns(spark):
     matches = spark.createDataFrame([(1, 11, "H1")], "e1 long, e2 long, heuristic string")
     kept = heuristics.h4_filter(matches, vs, _ns(spark, []), k=15)
     assert kept.columns == ["e1", "e2", "heuristic"]
+
+
+@pytest.mark.parametrize("scored", ["value", "neighbor"])
+def test_h4_k1_ties_keep_lower_ids(spark, scored):
+    # e1=1 ties 11 and 12, e2=11 ties 1 and 2: at k=1 each side keeps its
+    # lower id, so only (1, 11) is reciprocal. The ties sit in one list at
+    # a time; the other is empty.
+    tied = [(1, 11, 2.0), (1, 12, 2.0), (2, 11, 2.0)]
+    vs = _vs(spark, tied if scored == "value" else [])
+    ns = _ns(spark, tied if scored == "neighbor" else [])
+    matches = spark.createDataFrame(
+        [(e1, e2, "H2") for e1, e2, _ in tied], "e1 long, e2 long, heuristic string"
+    )
+    kept = heuristics.h4_filter(matches, vs, ns, k=1)
+    assert {(r.e1, r.e2) for r in kept.collect()} == {(1, 11)}

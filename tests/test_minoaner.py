@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.minoaner import MinoanERConfig, match
 from repro.eval.metrics import precision_recall_f1
+from repro.kb.schema import pair_from_rows
 
 
 def test_config_defaults_match_paper():
@@ -54,6 +55,32 @@ def test_deterministic(toy_pair):
     a = sorted(map(tuple, match(toy_pair).matches.collect()))
     b = sorted(map(tuple, match(toy_pair).matches.collect()))
     assert a == b
+
+
+# ------------------------------------------------------ degenerate inputs
+# All-ties inputs: a change in null or tie ordering changes these results.
+def test_fewer_literal_attributes_than_k(spark):
+    """One literal attribute per KB, below k=2 name attributes: H1 takes
+    the unique shared name, H2 the pair sharing two pair-unique tokens."""
+    rows1 = [(1, "ns0:name", "Acme Corp", False), (2, "ns0:name", "Beta Qux", False)]
+    rows2 = [
+        (101, "ns1:label", "acme corp", False),
+        (102, "ns1:label", "Beta Company Qux", False),
+    ]
+    pair = pair_from_rows(spark, "one_attr", rows1, rows2, [(1, 101), (2, 102)])
+    got = {tuple(r) for r in match(pair).matches.collect()}
+    assert got == {(1, 101, "H1"), (2, 102, "H2")}
+
+
+def test_every_entity_shares_one_token(spark):
+    """Each entity's only cross-KB token is the one all ten share: no name
+    is unique, valueSim 1/log2(26) < 1 and every neighbor list is empty,
+    so H3 breaks the all-way tie by the lowest E2 id for every E1 entity."""
+    rows1 = [(i, "ns0:name", f"shared a{i}", False) for i in range(1, 6)]
+    rows2 = [(100 + i, "ns1:label", f"shared b{i}", False) for i in range(1, 6)]
+    pair = pair_from_rows(spark, "one_token", rows1, rows2, [])
+    got = {tuple(r) for r in match(pair).matches.collect()}
+    assert got == {(i, 101, "H3") for i in range(1, 6)}
 
 
 # ------------------------------------------------------ golden match sets

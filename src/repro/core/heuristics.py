@@ -3,12 +3,21 @@
 H1 lives in :mod:`repro.blocking.name_blocking` (it *is* name blocking);
 this module implements H2 (value), H3 (rank aggregation), H4
 (reciprocity) and the neighbor similarity they share. All are pure
-DataFrame -> DataFrame transformations; ranking uses window functions
-with deterministic tie-breaking (sim desc, then candidate id asc).
+DataFrame -> DataFrame transformations.
+
+H2-H4 read the same per-entity candidate lists, ranked by valueSim and
+by neighborNSim. H3 and H4 each join both lists into one
+``(e1, e2, sim, nsim)`` table and rank it in one pass per side; a pair
+missing from a list has a null score, which ranks last and is never in
+the top. One rule breaks every tie: score desc, then the other side's id
+asc (:func:`_ranking`). The two neighbor ranks cover different pairs:
+H3 left-joins the nsim > 0 rows onto its candidates, so it ranks only
+pairs *co-occurring* in a B_T block; H4 full-outer-joins them, so it
+ranks every pair with nsim > 0.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -36,6 +45,18 @@ def neighbor_similarities(
     )
 
 
+_WHOLE_PARTITION = (Window.unboundedPreceding, Window.unboundedFollowing)
+
+
+def _ranking(side: str, *scores: str) -> Window:
+    """Per-``side`` entity order: each score desc, nulls last, then the
+    other side's id asc."""
+    other = "e2" if side == "e1" else "e1"
+    return Window.partitionBy(side).orderBy(
+        *(F.desc_nulls_last(s) for s in scores), F.asc(other)
+    )
+
+
 def _exclude(df: DataFrame, matched: DataFrame | None, col: str) -> DataFrame:
     """Drop rows whose ``col`` entity appears in ``matched[col]``."""
     if matched is None:
@@ -54,24 +75,11 @@ def h2_matches(value_sims: DataFrame, matched: DataFrame | None = None) -> DataF
     a 1-1 mapping, which is exactly what makes it robust where Unique
     Mapping Clustering is not.
     """
-    cands = _exclude(value_sims, matched, "e1")
-    w = Window.partitionBy("e1").orderBy(F.desc("sim"), F.asc("e2"))
     return (
-        cands.withColumn("rn", F.row_number().over(w))
+        _exclude(value_sims, matched, "e1")
+        .withColumn("rn", F.row_number().over(_ranking("e1", "sim")))
         .filter((F.col("rn") == 1) & (F.col("sim") >= 1.0))
         .select("e1", "e2")
-    )
-
-
-def _normalized_rank(df: DataFrame, score_col: str, out_col: str) -> DataFrame:
-    """Add (K - rank + 1)/K per e1 partition ordered by score desc."""
-    w = Window.partitionBy("e1").orderBy(F.desc(score_col), F.asc("e2"))
-    size = Window.partitionBy("e1")
-    return (
-        df.withColumn("rank", F.row_number().over(w))
-        .withColumn("K", F.count("*").over(size))
-        .withColumn(out_col, (F.col("K") - F.col("rank") + 1) / F.col("K"))
-        .drop("rank", "K")
     )
 
 
@@ -86,44 +94,24 @@ def h3_matches(
 
     For each unmatched E1 entity, its co-occurring candidates are ranked
     twice — by valueSim and by non-zero neighborNSim — the normalized
-    ranks are aggregated with weights theta / (1 - theta), and the top-1
-    candidate becomes its match. As in H2, only the E1-side iteration is
-    restricted to unmatched descriptions; E2 candidates are not consumed.
+    ranks (K - rank + 1)/K are aggregated with weights theta / (1 - theta),
+    and the top-1 candidate becomes its match. As in H2, E2 candidates
+    are not consumed.
     """
-    cands = _exclude(value_sims, matched, "e1")
-    by_value = _normalized_rank(cands, "sim", "score_v")
+    def normalized_rank(score: str) -> Column:
+        # (K - rank + 1)/K among the K candidates with a score; null for the rest
+        w = _ranking("e1", score)
+        k = F.count(score).over(w.rowsBetween(*_WHOLE_PARTITION))
+        return F.when(F.col(score).isNotNull(), (k - F.row_number().over(w) + 1) / k)
 
-    # neighbor list: restricted to candidates co-occurring in B_T blocks
-    # (the paper sorts "the entities co-occurring with it in the blocks
-    # of B_T"), with non-zero neighbor similarity.
-    nsims = (
-        cands.select("e1", "e2")
-        .join(neighbor_sims.filter(F.col("nsim") > 0), ["e1", "e2"])
-    )
-    by_nbr = _normalized_rank(nsims, "nsim", "score_n").select("e1", "e2", "score_n")
-
-    scored = (
-        by_value.join(by_nbr, ["e1", "e2"], "left")
-        .fillna({"score_n": 0.0})
-        .withColumn(
-            "agg", F.lit(theta) * F.col("score_v") + F.lit(1 - theta) * F.col("score_n")
-        )
-    )
-    w = Window.partitionBy("e1").orderBy(F.desc("agg"), F.desc("sim"), F.asc("e2"))
+    score_v = normalized_rank("sim")
+    score_n = F.coalesce(normalized_rank("nsim"), F.lit(0.0))
     return (
-        scored.withColumn("rn", F.row_number().over(w))
+        _exclude(value_sims, matched, "e1")
+        .join(neighbor_sims.filter("nsim > 0"), ["e1", "e2"], "left")
+        .withColumn("agg", F.lit(theta) * score_v + F.lit(1 - theta) * score_n)
+        .withColumn("rn", F.row_number().over(_ranking("e1", "agg", "sim")))
         .filter("rn = 1")
-        .select("e1", "e2")
-    )
-
-
-def _top_k_pairs(sims: DataFrame, score: str, side: str, k: int) -> DataFrame:
-    w = Window.partitionBy(side).orderBy(
-        F.desc(score), F.asc("e2" if side == "e1" else "e1")
-    )
-    return (
-        sims.withColumn("rn", F.row_number().over(w))
-        .filter(F.col("rn") <= k)
         .select("e1", "e2")
     )
 
@@ -135,18 +123,23 @@ def h4_filter(
     k: int = 15,
 ) -> DataFrame:
     """Reciprocity: keep <e_i, e_j> only if e_j is among e_i's top-K value
-    OR neighbor candidates AND vice versa."""
-    nz = neighbor_sims.filter(F.col("nsim") > 0)
-    ok1 = (
-        _top_k_pairs(value_sims, "sim", "e1", k)
-        .unionByName(_top_k_pairs(nz, "nsim", "e1", k))
-        .distinct()
+    OR neighbor candidates AND vice versa.
+
+    ``value_sims`` and ``neighbor_sims`` hold one row per (e1, e2), so the
+    inner join keeps each match once. A left-semi join would do the same,
+    but Spark pushes it below the union ``matches`` usually is and ranks
+    the table once per heuristic.
+    """
+
+    def top_k(side: str, score: str) -> Column:
+        rank = F.row_number().over(_ranking(side, score))
+        return F.col(score).isNotNull() & (rank <= k)
+
+    ok1, ok2 = (top_k(side, "sim") | top_k(side, "nsim") for side in ("e1", "e2"))
+    reciprocal = (
+        value_sims.join(neighbor_sims.filter("nsim > 0"), ["e1", "e2"], "full")
+        .withColumn("ok", ok1 & ok2)
+        .filter("ok")
+        .select("e1", "e2")
     )
-    ok2 = (
-        _top_k_pairs(value_sims, "sim", "e2", k)
-        .unionByName(_top_k_pairs(nz, "nsim", "e2", k))
-        .distinct()
-    )
-    return matches.join(ok1, ["e1", "e2"], "left_semi").join(
-        ok2, ["e1", "e2"], "left_semi"
-    )
+    return matches.join(reciprocal, ["e1", "e2"])

@@ -6,7 +6,10 @@ H4 from the same intermediates as plain SQL window queries with the same
 tie-breaks: score desc, then the other side's id asc; H3 breaks aggregate
 ties by valueSim desc first.
 """
+import functools
+
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.blocking import name_blocking, purging
@@ -100,26 +103,32 @@ def stages(request):
         relations.top_neighbors(pair.kb2, CFG.N),
     ).cache()
     h1 = name_blocking.h1_matches(pair, CFG.k).cache()
+    for df in (vsims, nsims, h1):
+        df.count()  # a materialized cache may tell the planner its partitioning
     yield pair, vsims, nsims, h1
     for df in (vsims, nsims, h1, t1, t2):
         df.unpersist()
 
 
-def _definition1(vsims, nsims, h1):
-    """(e1, e2, heuristic) of h4_filter(H1 u H2 u H3), composed as in match()."""
+def _h1_h2_h3(vsims, nsims, h1):
+    """The three proposals of Definition 1, labelled, composed as in match()."""
     h1 = h1.withColumn("heuristic", F.lit("H1"))
     h2 = heuristics.h2_matches(vsims, h1).withColumn("heuristic", F.lit("H2"))
     matched_12 = h1.select("e1", "e2").unionByName(h2.select("e1", "e2"))
     h3 = heuristics.h3_matches(vsims, nsims, matched_12, CFG.theta).withColumn(
         "heuristic", F.lit("H3")
     )
-    proposed = h1.unionByName(h2).unionByName(h3)
-    return heuristics.h4_filter(proposed, vsims, nsims, CFG.K)
+    return h1, h2, h3
 
 
 def test_definition1_vs_oracle(stages):
     pair, vsims, nsims, h1 = stages
-    final = _definition1(vsims, nsims, h1)
+    final = heuristics.h4_filter(
+        functools.reduce(DataFrame.unionByName, _h1_h2_h3(vsims, nsims, h1)),
+        vsims,
+        nsims,
+        CFG.K,
+    )
     if pair.name == "bbcmusic_dbpedia":
         # the preset where H3 contributes (352 matches at seed 42)
         assert final.filter("heuristic = 'H3'").count() == 352
@@ -130,3 +139,44 @@ def test_definition1_vs_oracle(stages):
         nsims=nsims,
         h1=h1,
     )
+
+
+def _plan_shape(df: DataFrame) -> tuple[int, int]:
+    """(Exchange, Sort) node counts of ``df``'s physical plan before
+    adaptive execution re-plans it; a cached input is a leaf scan."""
+    shuffles = sorts = 0
+    todo = [df._jdf.queryExecution().executedPlan()]
+    while todo:
+        node = todo.pop()
+        if node.nodeName() == "AdaptiveSparkPlan":
+            todo.append(node.executedPlan())
+            continue
+        shuffles += node.nodeName() == "Exchange"
+        sorts += node.nodeName() == "Sort"
+        children = node.children()
+        todo.extend(children.apply(i) for i in range(children.size()))
+    return shuffles, sorts
+
+
+# (Exchange, Sort) budget of each heuristic's own plan over materialized
+# cached inputs. Ranking each candidate list separately took (10, 12) for
+# H3 and (21, 33) for H4.
+PLAN_BUDGET = {"h3": (4, 7), "h4": (4, 8)}
+
+
+def test_plan_shape_within_budget(stages):
+    """A machine-independent guard on how often H3 and H4 shuffle and sort."""
+    _, vsims, nsims, h1 = stages
+    h1, h2, h3 = _h1_h2_h3(vsims, nsims, h1)
+    h2 = h2.cache()  # as in match()
+    h2.count()
+    shapes = {"h3": _plan_shape(h3)}
+    h3 = h3.cache()
+    h3.count()
+    proposed = h1.unionByName(h2).unionByName(h3)
+    shapes["h4"] = _plan_shape(heuristics.h4_filter(proposed, vsims, nsims, CFG.K))
+    h2.unpersist()
+    h3.unpersist()
+    for stage, (shuffles, sorts) in shapes.items():
+        budget = PLAN_BUDGET[stage]
+        assert shuffles <= budget[0] and sorts <= budget[1], (stage, shapes[stage])

@@ -1,11 +1,9 @@
 """Benchmark fixtures: one generated KBPair per dataset per session."""
 import os
 
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
+import pytest
 
-import pytest  # noqa: E402
-
-from repro.kb.datasets import load  # noqa: E402
+from repro.kb.datasets import load
 
 
 @pytest.fixture(scope="session")

@@ -4,10 +4,8 @@
 """
 import sys
 
-import os
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _session import get_spark  # noqa: E402
 from repro.eval.tables import format_side_by_side, table1
+from repro.session import get_spark
 
 
 def main(datasets=None) -> None:

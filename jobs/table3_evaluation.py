@@ -7,10 +7,8 @@ paper-reported only (DESIGN.md §3); their numbers are printed from
 """
 import sys
 
-import os
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _session import get_spark  # noqa: E402
 from repro.eval.tables import format_side_by_side, table3
+from repro.session import get_spark
 
 
 def main(argv=None) -> None:

@@ -1,18 +1,8 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures for the test suite: the toy pair and the presets."""
+import pytest
 
-Sets a lower shuffle-partition default before the root conftest's
-session fixture reads it: the repro datasets are laptop-scale and 64
-partitions would only add scheduling overhead. (The root conftest honors
-``SPARK_SHUFFLE_PARTITIONS``; export it to override.)
-"""
-import os
-
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
-import pytest  # noqa: E402
-
-from repro.kb import datasets  # noqa: E402
-from repro.kb.schema import pair_from_rows  # noqa: E402
+from repro.kb import datasets
+from repro.kb.schema import pair_from_rows
 
 
 @pytest.fixture(scope="session")

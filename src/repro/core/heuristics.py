@@ -45,6 +45,7 @@ def neighbor_similarities(
     )
 
 
+# A count over the whole partition framed on a rank's window shares its sort.
 _WHOLE_PARTITION = (Window.unboundedPreceding, Window.unboundedFollowing)
 
 
@@ -94,12 +95,13 @@ def h3_matches(
 
     For each unmatched E1 entity, its co-occurring candidates are ranked
     twice — by valueSim and by non-zero neighborNSim — the normalized
-    ranks (K - rank + 1)/K are aggregated with weights theta / (1 - theta),
-    and the top-1 candidate becomes its match. As in H2, E2 candidates
-    are not consumed.
+    ranks are aggregated with weights theta / (1 - theta), and the top-1
+    candidate becomes its match. As in H2, only the E1-side iteration is
+    restricted to unmatched descriptions; E2 candidates are not consumed.
     """
+
     def normalized_rank(score: str) -> Column:
-        # (K - rank + 1)/K among the K candidates with a score; null for the rest
+        # (K - rank + 1)/K over the K candidates with a score; null for the rest
         w = _ranking("e1", score)
         k = F.count(score).over(w.rowsBetween(*_WHOLE_PARTITION))
         return F.when(F.col(score).isNotNull(), (k - F.row_number().over(w) + 1) / k)

@@ -17,7 +17,7 @@ _CGROUP_LIMITS = (
 )
 
 
-def driver_memory() -> str:
+def _driver_memory() -> str:
     """``SPARK_DRIVER_MEM`` if set, else ~75% of the cgroup v2/v1 memory
     limit, else 48g; ``_SPARK_DRIVER_MEM_SRC`` records which applied.
 
@@ -42,7 +42,7 @@ def get_spark(app: str) -> SparkSession:
     """The session. spark.driver.memory is read only when the driver JVM
     launches, so master and driver memory go into ``PYSPARK_SUBMIT_ARGS``
     (unless already set) before the first session starts."""
-    os.environ.setdefault("SPARK_DRIVER_MEM", driver_memory())
+    os.environ.setdefault("SPARK_DRIVER_MEM", _driver_memory())
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

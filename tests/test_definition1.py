@@ -132,13 +132,7 @@ def test_definition1_vs_oracle(stages):
     if pair.name == "bbcmusic_dbpedia":
         # the preset where H3 contributes (352 matches at seed 42)
         assert final.filter("heuristic = 'H3'").count() == 352
-    assert_equivalent(
-        final,
-        _ORACLE_SQL,
-        vsims=vsims,
-        nsims=nsims,
-        h1=h1,
-    )
+    assert_equivalent(final, _ORACLE_SQL, vsims=vsims, nsims=nsims, h1=h1)
 
 
 def _plan_shape(df: DataFrame) -> tuple[int, int]:
@@ -159,8 +153,8 @@ def _plan_shape(df: DataFrame) -> tuple[int, int]:
 
 
 # (Exchange, Sort) budget of each heuristic's own plan over materialized
-# cached inputs. Ranking each candidate list separately took (10, 12) for
-# H3 and (21, 33) for H4.
+# cached inputs. Ranking each candidate list separately took (9, 12) for
+# H3 and (20, 33) for H4.
 PLAN_BUDGET = {"h3": (4, 7), "h4": (4, 8)}
 
 

@@ -39,6 +39,11 @@ MEASURES = [
 ]
 THRESHOLDS = [round(0.05 * i, 2) for i in range(20)]  # 0.00 .. 0.95
 NGRAM_SIZES = (1, 2, 3)
+# Similarities are rounded to this many decimals before any comparison, so
+# float noise from summation order (which follows the plan and the shuffle
+# partitioning) cannot decide a threshold boundary or a UMC tie; ties then
+# fall to UMC's (e1, e2) tie-break.
+SIM_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -122,20 +127,19 @@ def pair_similarities(pair: KBPair, candidates: DataFrame, n: int) -> DataFrame:
         F.col("s_tf").alias("s2_tf"), F.col("s_ti").alias("s2_ti"),
         F.col("norm_tf").alias("nrm2_tf"), F.col("norm_ti").alias("nrm2_ti"),
     )
+    sims = {
+        "jaccard": F.col("cnt") / (F.col("c1") + F.col("c2") - F.col("cnt")),
+        "cosine_tf": F.col("dot_tf") / (F.col("nrm1_tf") * F.col("nrm2_tf")),
+        "cosine_tfidf": F.col("dot_ti") / (F.col("nrm1_ti") * F.col("nrm2_ti")),
+        "gen_jaccard_tf": F.col("min_tf") / (F.col("s1_tf") + F.col("s2_tf") - F.col("min_tf")),
+        "gen_jaccard_tfidf": F.col("min_ti") / (F.col("s1_ti") + F.col("s2_ti") - F.col("min_ti")),
+        "sigma_tf": F.col("both_tf") / (F.col("s1_tf") + F.col("s2_tf")),
+        "sigma_tfidf": F.col("both_ti") / (F.col("s1_ti") + F.col("s2_ti")),
+    }
     return (
         common.join(n1, "e1")
         .join(n2, "e2")
-        .select(
-            "e1",
-            "e2",
-            (F.col("cnt") / (F.col("c1") + F.col("c2") - F.col("cnt"))).alias("jaccard"),
-            (F.col("dot_tf") / (F.col("nrm1_tf") * F.col("nrm2_tf"))).alias("cosine_tf"),
-            (F.col("dot_ti") / (F.col("nrm1_ti") * F.col("nrm2_ti"))).alias("cosine_tfidf"),
-            (F.col("min_tf") / (F.col("s1_tf") + F.col("s2_tf") - F.col("min_tf"))).alias("gen_jaccard_tf"),
-            (F.col("min_ti") / (F.col("s1_ti") + F.col("s2_ti") - F.col("min_ti"))).alias("gen_jaccard_tfidf"),
-            (F.col("both_tf") / (F.col("s1_tf") + F.col("s2_tf"))).alias("sigma_tf"),
-            (F.col("both_ti") / (F.col("s1_ti") + F.col("s2_ti"))).alias("sigma_tfidf"),
-        )
+        .select("e1", "e2", *(F.round(sims[m], SIM_DECIMALS).alias(m) for m in MEASURES))
     )
 
 

@@ -1,10 +1,12 @@
 """Tests for the BSL baseline (repro.baselines.bsl)."""
+import hashlib
 import math
 
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines import bsl
+from repro.eval.tables import bsl_candidates
 from repro.kb.schema import pair_from_rows
 
 
@@ -101,12 +103,64 @@ def test_sweep_prefix_property_used(spark, simple_pair):
     assert best.f1 == 100.0
 
 
-def test_run_bsl_on_restaurant(restaurant_pair):
+@pytest.fixture(scope="module")
+def restaurant_bsl(restaurant_pair):
+    """One BSL sweep on Restaurant, shared by the tests below."""
+    return bsl.run_bsl(restaurant_pair, bsl_candidates(restaurant_pair))
+
+
+def test_run_bsl_on_restaurant(restaurant_bsl):
     """Paper Table III: BSL achieves perfect F1 on Restaurant thanks to
     its strongly similar matches."""
-    from repro.eval.tables import bsl_candidates
-
-    best, outcomes = bsl.run_bsl(restaurant_pair, bsl_candidates(restaurant_pair))
+    best, outcomes = restaurant_bsl
     assert best.f1 >= 99.0
     assert len(outcomes) == 420
     assert all(0 <= o.precision <= 100 and 0 <= o.recall <= 100 for o in outcomes)
+
+
+# --------------------------------------------------------- golden outcomes
+# Recorded with rounded similarities, before scoring moved to one pass over
+# all n-gram sizes, and never edited since: the 420 outcomes must stay
+# byte-identical, not just the best F1.
+GOLDEN_OUTCOMES = {
+    "simple": "f6994d6adeffa40e",
+    "toy": "8701599a4e31c987",
+    "restaurant": "bf1323ce6603680e",
+}
+
+
+def _digest(outcomes) -> str:
+    text = "\n".join(
+        f"{o.n},{o.measure},{o.threshold},"
+        f"{o.precision.hex()},{o.recall.hex()},{o.f1.hex()}"
+        for o in outcomes
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_golden_outcomes(spark, simple_pair, toy_pair, restaurant_bsl):
+    cands = spark.createDataFrame([(1, 9), (1, 8)], "e1 long, e2 long")
+    got = {
+        "simple": _digest(bsl.run_bsl(simple_pair, cands)[1]),
+        "toy": _digest(bsl.run_bsl(toy_pair, bsl_candidates(toy_pair))[1]),
+        "restaurant": _digest(restaurant_bsl[1]),
+    }
+    assert got == GOLDEN_OUTCOMES
+
+
+def test_bsl_shuffle_partition_invariance(spark, restaurant_pair, restaurant_bsl):
+    """The 420 outcomes do not depend on spark.sql.shuffle.partitions."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    got = {}
+    try:
+        for n in (1, 8, 37):
+            if str(n) == saved:  # the shared sweep ran at this setting
+                got[n] = _digest(restaurant_bsl[1])
+                continue
+            spark.conf.set(key, str(n))
+            cands = bsl_candidates(restaurant_pair)
+            got[n] = _digest(bsl.run_bsl(restaurant_pair, cands)[1])
+    finally:
+        spark.conf.set(key, saved)
+    assert got[1] == got[8] == got[37]

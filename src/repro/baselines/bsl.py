@@ -59,13 +59,17 @@ class BSLOutcome:
 
 
 def _weighted_grams(pair: KBPair, n: int) -> tuple[DataFrame, DataFrame]:
-    """Per-KB (eid, gram, w_tf, w_tfidf); IDF over the union corpus."""
+    """Per-KB (eid, gram, w_tf, w_tfidf); IDF over the union corpus.
+
+    A gram's document frequency counts its per-entity rows in both KBs.
+    Ids are local to each KB, so a distinct count over (gram, eid) would
+    merge an E1 and an E2 entity that share an id.
+    """
     g1 = entity_ngrams(pair.kb1, n)
     g2 = entity_ngrams(pair.kb2, n)
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
     df = (
-        g1.select("gram", "eid").unionByName(g2.select("gram", "eid"))
-        .distinct()
+        g1.select("gram").unionByName(g2.select("gram"))
         .groupBy("gram")
         .agg(F.count("*").alias("df"))
         .select("gram", F.log2(1.0 + F.lit(float(n_docs)) / F.col("df")).alias("idf"))

@@ -78,6 +78,26 @@ def test_tfidf_weights_match_formula(spark, simple_pair):
     assert r.cosine_tfidf == pytest.approx(expected)
 
 
+def test_overlapping_kb_ids(spark):
+    """KB ids are local to each KB: shifting every E2 id by +100 leaves
+    every similarity unchanged, so an E1 and an E2 entity sharing an id
+    still count as two documents for IDF."""
+    rows1 = [(1, "p", "a b", False), (2, "p", "b c d", False)]
+    rows2 = [(1, "q", "a b", False), (2, "q", "a c", False), (3, "q", "c d", False)]
+    cands = [(e1, e2) for e1 in (1, 2) for e2 in (1, 2, 3)]
+
+    def sims(offset):
+        shifted = [(eid + offset, *rest) for eid, *rest in rows2]
+        pair = pair_from_rows(spark, "t", rows1, shifted, [])
+        df = spark.createDataFrame(
+            [(e1, e2 + offset) for e1, e2 in cands], "e1 long, e2 long"
+        )
+        rows = bsl.pair_similarities(pair, df, 1).collect()
+        return {(r.e1, r.e2 - offset): [r[m] for m in bsl.MEASURES] for r in rows}
+
+    assert sims(0) == sims(100)
+
+
 def test_bigram_similarity(spark, simple_pair):
     cands = spark.createDataFrame([(1, 9), (1, 8)], "e1 long, e2 long")
     rows = {(r.e1, r.e2): r for r in bsl.pair_similarities(simple_pair, cands, 2).collect()}

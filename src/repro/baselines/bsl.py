@@ -12,13 +12,15 @@ F1 is maximized over 420 configurations per dataset:
 (Jaccard is set-based, hence weighting-free: 3 x 7 x 20 = 420 — the only
 factorization matching the paper's count; DESIGN.md §6.)
 
-All 7 similarity families for one n-gram size are computed in a single
-Spark pass: one pair-gram join aggregated into sufficient statistics
-(|common|, dot products, Sum-min, Sum-(w1+w2) per weighting), combined
-with per-entity norms. The threshold sweep then reuses one UMC frontier
-per scored config (see :mod:`repro.baselines.umc`). Pairs with zero
-similarity are never fed to UMC — accepting a 0-similarity pair is
-meaningless even at threshold 0.
+All 7 similarity families for all 3 n-gram sizes are computed in a
+single Spark pass over one candidate plan: the grams carry their size
+``n``, one pair-gram join is aggregated per (n, e1, e2) into sufficient
+statistics (|common|, dot products, Sum-min, Sum-(w1+w2) per weighting)
+and combined with per-(entity, n) norms. ``run_bsl`` collects that once
+and splits it by n on the driver. The threshold sweep then reuses one
+UMC frontier per scored config (see :mod:`repro.baselines.umc`). Pairs
+with zero similarity are never fed to UMC — accepting a 0-similarity
+pair is meaningless even at threshold 0.
 """
 from __future__ import annotations
 
@@ -58,15 +60,16 @@ class BSLOutcome:
     f1: float
 
 
-def _weighted_grams(pair: KBPair, n: int) -> tuple[DataFrame, DataFrame]:
-    """Per-KB (eid, gram, w_tf, w_tfidf); IDF over the union corpus.
+def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> tuple[DataFrame, DataFrame]:
+    """Per-KB (eid, n, gram, w_tf, w_tfidf); IDF over the union corpus.
 
     A gram's document frequency counts its per-entity rows in both KBs.
     Ids are local to each KB, so a distinct count over (gram, eid) would
-    merge an E1 and an E2 entity that share an id.
+    merge an E1 and an E2 entity that share an id. IDF is keyed by the
+    gram alone: its token count fixes its n.
     """
-    g1 = entity_ngrams(pair.kb1, n)
-    g2 = entity_ngrams(pair.kb2, n)
+    g1 = entity_ngrams(pair.kb1, *sizes)
+    g2 = entity_ngrams(pair.kb2, *sizes)
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
     df = (
         g1.select("gram").unionByName(g2.select("gram"))
@@ -78,6 +81,7 @@ def _weighted_grams(pair: KBPair, n: int) -> tuple[DataFrame, DataFrame]:
     def weight(g: DataFrame) -> DataFrame:
         return g.join(df, "gram").select(
             "eid",
+            "n",
             "gram",
             F.col("tf").cast("double").alias("w_tf"),
             (F.col("tf") * F.col("idf")).alias("w_tfidf"),
@@ -86,31 +90,30 @@ def _weighted_grams(pair: KBPair, n: int) -> tuple[DataFrame, DataFrame]:
     return weight(g1), weight(g2)
 
 
-def _entity_norms(grams: DataFrame) -> DataFrame:
-    return grams.groupBy("eid").agg(
-        F.count("*").alias("c"),
-        F.sum("w_tf").alias("s_tf"),
-        F.sum("w_tfidf").alias("s_ti"),
-        F.sqrt(F.sum(F.col("w_tf") ** 2)).alias("norm_tf"),
-        F.sqrt(F.sum(F.col("w_tfidf") ** 2)).alias("norm_ti"),
+def _entity_norms(grams: DataFrame, side: str) -> DataFrame:
+    """(e<side>, n, c<side>, s<side>_tf, s<side>_ti, nrm<side>_tf, nrm<side>_ti)."""
+    return grams.groupBy(F.col("eid").alias(f"e{side}"), "n").agg(
+        F.count("*").alias(f"c{side}"),
+        F.sum("w_tf").alias(f"s{side}_tf"),
+        F.sum("w_tfidf").alias(f"s{side}_ti"),
+        F.sqrt(F.sum(F.col("w_tf") ** 2)).alias(f"nrm{side}_tf"),
+        F.sqrt(F.sum(F.col("w_tfidf") ** 2)).alias(f"nrm{side}_ti"),
     )
 
 
-def pair_similarities(pair: KBPair, candidates: DataFrame, n: int) -> DataFrame:
-    """(e1, e2, <7 similarity columns>) for candidate pairs sharing >=1 gram."""
-    g1, g2 = _weighted_grams(pair, n)
-    norms1 = _entity_norms(g1)
-    norms2 = _entity_norms(g2)
-
+def pair_similarities(pair: KBPair, candidates: DataFrame, *sizes: int) -> DataFrame:
+    """(n, e1, e2, <7 similarity columns>) for each n-gram size in
+    ``sizes`` and each candidate pair sharing >=1 gram of that size."""
+    g1, g2 = _weighted_grams(pair, sizes)
     common = (
         candidates.join(g1.withColumnRenamed("eid", "e1"), "e1")
         .join(
             g2.withColumnRenamed("eid", "e2")
             .withColumnRenamed("w_tf", "v_tf")
             .withColumnRenamed("w_tfidf", "v_tfidf"),
-            ["e2", "gram"],
+            ["e2", "n", "gram"],
         )
-        .groupBy("e1", "e2")
+        .groupBy("n", "e1", "e2")
         .agg(
             F.count("*").alias("cnt"),
             F.sum(F.col("w_tf") * F.col("v_tf")).alias("dot_tf"),
@@ -120,16 +123,6 @@ def pair_similarities(pair: KBPair, candidates: DataFrame, n: int) -> DataFrame:
             F.sum(F.col("w_tf") + F.col("v_tf")).alias("both_tf"),
             F.sum(F.col("w_tfidf") + F.col("v_tfidf")).alias("both_ti"),
         )
-    )
-    n1 = norms1.select(
-        F.col("eid").alias("e1"), F.col("c").alias("c1"),
-        F.col("s_tf").alias("s1_tf"), F.col("s_ti").alias("s1_ti"),
-        F.col("norm_tf").alias("nrm1_tf"), F.col("norm_ti").alias("nrm1_ti"),
-    )
-    n2 = norms2.select(
-        F.col("eid").alias("e2"), F.col("c").alias("c2"),
-        F.col("s_tf").alias("s2_tf"), F.col("s_ti").alias("s2_ti"),
-        F.col("norm_tf").alias("nrm2_tf"), F.col("norm_ti").alias("nrm2_ti"),
     )
     sims = {
         "jaccard": F.col("cnt") / (F.col("c1") + F.col("c2") - F.col("cnt")),
@@ -141,9 +134,9 @@ def pair_similarities(pair: KBPair, candidates: DataFrame, n: int) -> DataFrame:
         "sigma_tfidf": F.col("both_ti") / (F.col("s1_ti") + F.col("s2_ti")),
     }
     return (
-        common.join(n1, "e1")
-        .join(n2, "e2")
-        .select("e1", "e2", *(F.round(sims[m], SIM_DECIMALS).alias(m) for m in MEASURES))
+        common.join(_entity_norms(g1, "1"), ["e1", "n"])
+        .join(_entity_norms(g2, "2"), ["e2", "n"])
+        .select("n", "e1", "e2", *(F.round(sims[m], SIM_DECIMALS).alias(m) for m in MEASURES))
     )
 
 
@@ -169,13 +162,14 @@ def run_bsl(pair: KBPair, candidates: DataFrame) -> tuple[BSLOutcome, list[BSLOu
     gt_pairs = {(r["e1"], r["e2"]) for r in gt_rows}
     gt_e1 = {r["e1"] for r in gt_rows}
 
+    sims = pair_similarities(pair, candidates, *NGRAM_SIZES).collect()
     all_outcomes: list[BSLOutcome] = []
     for n in NGRAM_SIZES:
-        sims = pair_similarities(pair, candidates, n).collect()
+        rows = [r for r in sims if r["n"] == n]
         for m in MEASURES:
             scored = [
                 (r["e1"], r["e2"], float(r[m]))
-                for r in sims
+                for r in rows
                 if r[m] is not None and r[m] > 0.0
             ]
             all_outcomes.extend(_sweep(umc_frontier(scored), gt_pairs, gt_e1, n, m))

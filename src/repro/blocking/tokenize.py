@@ -9,7 +9,8 @@ formula needs.
 
 Token n-grams (for the BSL baseline's uni/bi/tri-gram representations)
 are formed *within* each literal value: a bigram never spans two
-different attribute values.
+different attribute values. One call builds every requested size in one
+pass, tagging each gram with its size ``n``.
 """
 from __future__ import annotations
 
@@ -44,28 +45,29 @@ def entity_tokens(kb: KB) -> DataFrame:
     )
 
 
-def entity_ngrams(kb: KB, n: int) -> DataFrame:
-    """(eid, gram, tf) — token n-grams per entity with term frequencies.
+def entity_ngrams(kb: KB, *sizes: int) -> DataFrame:
+    """(eid, n, gram, tf) — token n-grams of every size in ``sizes`` per
+    entity, with term frequencies, in one pass over the values.
 
     Grams are built within each value via a Catalyst ``transform`` over
-    index sequences (no Python UDF). ``tf`` counts occurrences across the
-    whole description, which feeds TF / TF-IDF weighting in BSL.
+    index sequences (no Python UDF); a value of fewer than n tokens has
+    no n-gram. ``tf`` counts occurrences across the whole description,
+    which feeds TF / TF-IDF weighting in BSL.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    vals = value_token_arrays(kb)
-    if n == 1:
-        grams = vals.select("eid", F.explode("tokens").alias("gram"))
-    else:
-        expr = (
-            f"transform(sequence(0, size(tokens) - {n}), "
-            f"i -> concat_ws(' ', slice(tokens, i + 1, {n})))"
-        )
-        grams = (
-            vals.filter(F.size("tokens") >= n)
-            .select("eid", F.explode(F.expr(expr)).alias("gram"))
-        )
-    return grams.groupBy("eid", "gram").agg(F.count("*").alias("tf"))
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"n-gram sizes must be >= 1, got {sizes}")
+    grams = F.expr(
+        "transform(sequence(0, size(tokens) - n), "
+        "i -> concat_ws(' ', slice(tokens, i + 1, n)))"
+    )
+    return (
+        value_token_arrays(kb)
+        .select("eid", "tokens", F.explode(F.array(*map(F.lit, sorted(set(sizes))))).alias("n"))
+        .filter(F.size("tokens") >= F.col("n"))
+        .select("eid", "n", F.explode(grams).alias("gram"))
+        .groupBy("eid", "n", "gram")
+        .agg(F.count("*").alias("tf"))
+    )
 
 
 def avg_tokens_per_entity(kb: KB) -> float:

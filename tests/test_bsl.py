@@ -105,6 +105,21 @@ def test_bigram_similarity(spark, simple_pair):
     assert (1, 8) not in rows                           # no shared bigram
 
 
+def test_all_sizes_equal_single_size_calls(spark):
+    """The one-pass result, filtered to n, equals each single-size call."""
+    rows1 = [(1, "p", "a b c d", False), (2, "p", "b c d e", False)]
+    rows2 = [(11, "q", "a b c x", False), (12, "q", "b c d e", False), (13, "q", "c d", False)]
+    pair = pair_from_rows(spark, "t", rows1, rows2, [])
+    cands = spark.createDataFrame(
+        [(e1, e2) for e1 in (1, 2) for e2 in (11, 12, 13)], "e1 long, e2 long"
+    )
+    together = bsl.pair_similarities(pair, cands, *bsl.NGRAM_SIZES).collect()
+    for n in bsl.NGRAM_SIZES:
+        alone = bsl.pair_similarities(pair, cands, n).collect()
+        assert alone and all(r.n == n for r in alone)
+        assert sorted(tuple(r) for r in together if r.n == n) == sorted(map(tuple, alone))
+
+
 def test_tf_counts_repetition(spark):
     rows1 = [(1, "p", "x x y", False)]
     rows2 = [(9, "q", "x y y", False)]

@@ -5,6 +5,9 @@ The Spark heuristics run over the intermediates ``match()`` builds
 H4 from the same intermediates as plain SQL window queries with the same
 tie-breaks: score desc, then the other side's id asc; H3 breaks aggregate
 ties by valueSim desc first.
+
+The plan-shape budgets below count the Exchange and Sort nodes of H3, H4
+and the one-pass BSL scoring plan.
 """
 import functools
 
@@ -12,10 +15,12 @@ import pytest
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.baselines import bsl
 from repro.blocking import name_blocking, purging
 from repro.blocking.tokenize import entity_tokens
 from repro.core import heuristics, relations, value_sim
 from repro.core.minoaner import MinoanERConfig
+from repro.eval.tables import bsl_candidates
 from repro.oracle import assert_equivalent
 
 CFG = MinoanERConfig()
@@ -174,3 +179,19 @@ def test_plan_shape_within_budget(stages):
     for stage, (shuffles, sorts) in shapes.items():
         budget = PLAN_BUDGET[stage]
         assert shuffles <= budget[0] and sorts <= budget[1], (stage, shapes[stage])
+
+
+# (Exchange, Sort) budget of scoring every BSL n-gram size in one plan
+# over a materialized cached candidate set, on Restaurant. Scoring one
+# size per plan took (29, 16) per size, three plans per sweep.
+BSL_PLAN_BUDGET = (29, 16)
+
+
+def test_bsl_plan_shape_within_budget(restaurant_pair):
+    """One plan scores all three n-gram sizes; guard how often it
+    shuffles and sorts."""
+    cands = bsl_candidates(restaurant_pair).cache()
+    cands.count()
+    shape = _plan_shape(bsl.pair_similarities(restaurant_pair, cands, *bsl.NGRAM_SIZES))
+    cands.unpersist()
+    assert shape[0] <= BSL_PLAN_BUDGET[0] and shape[1] <= BSL_PLAN_BUDGET[1], shape

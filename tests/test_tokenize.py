@@ -83,6 +83,21 @@ def test_trigram_of_short_value_is_empty(spark):
     assert entity_ngrams(kb, 3).count() == 0
 
 
+def test_ngrams_all_sizes_in_one_pass(spark):
+    """One call over several sizes equals the union of single-size calls."""
+    kb = kb_from_rows(
+        spark, "E1",
+        [(1, "a", "p q r p q", False), (1, "b", "q r", False), (2, "a", "s", False)],
+    )
+    cols = ["eid", "n", "gram", "tf"]
+    together = sorted(tuple(r) for r in entity_ngrams(kb, 1, 2, 3).select(cols).collect())
+    apart = sorted(
+        tuple(r) for n in (1, 2, 3) for r in entity_ngrams(kb, n).select(cols).collect()
+    )
+    assert together == apart
+    assert {r[1] for r in together} == {1, 2, 3}
+
+
 def test_ngram_invalid_n(spark):
     kb = kb_from_rows(spark, "E1", [(1, "a", "p", False)])
     with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.baselines.umc import umc_frontier
@@ -63,31 +63,30 @@ class BSLOutcome:
 def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> tuple[DataFrame, DataFrame]:
     """Per-KB (eid, n, gram, w_tf, w_tfidf); IDF over the union corpus.
 
-    A gram's document frequency counts its per-entity rows in both KBs.
-    Ids are local to each KB, so a distinct count over (gram, eid) would
-    merge an E1 and an E2 entity that share an id. IDF is keyed by the
+    A gram's document frequency counts its per-entity rows in both KBs, in
+    one window over the union, so both KBs' weights come from one plan.
+    (Ids are local to each KB, so a distinct count over (gram, eid) would
+    merge an E1 and an E2 entity that share an id.) IDF is keyed by the
     gram alone: its token count fixes its n.
     """
-    g1 = entity_ngrams(pair.kb1, *sizes)
-    g2 = entity_ngrams(pair.kb2, *sizes)
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
-    df = (
-        g1.select("gram").unionByName(g2.select("gram"))
-        .groupBy("gram")
-        .agg(F.count("*").alias("df"))
-        .select("gram", F.log2(1.0 + F.lit(float(n_docs)) / F.col("df")).alias("idf"))
-    )
-
-    def weight(g: DataFrame) -> DataFrame:
-        return g.join(df, "gram").select(
+    df = F.count("*").over(Window.partitionBy("gram"))
+    weighted = (
+        entity_ngrams(pair.kb1, *sizes).withColumn("kb", F.lit(1))
+        .unionByName(entity_ngrams(pair.kb2, *sizes).withColumn("kb", F.lit(2)))
+        .select(
+            "kb",
             "eid",
             "n",
             "gram",
             F.col("tf").cast("double").alias("w_tf"),
-            (F.col("tf") * F.col("idf")).alias("w_tfidf"),
+            (F.col("tf") * F.log2(1.0 + F.lit(float(n_docs)) / df)).alias("w_tfidf"),
         )
-
-    return weight(g1), weight(g2)
+    )
+    return (
+        weighted.filter("kb = 1").drop("kb"),
+        weighted.filter("kb = 2").drop("kb"),
+    )
 
 
 def _entity_norms(grams: DataFrame, side: str) -> DataFrame:

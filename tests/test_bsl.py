@@ -130,8 +130,13 @@ def test_tf_counts_repetition(spark):
     assert r.cosine_tf == pytest.approx(4 / 5)
 
 
-def test_sweep_prefix_property_used(spark, simple_pair):
-    best, outcomes = bsl.run_bsl(simple_pair, spark.createDataFrame([(1, 9), (1, 8)], "e1 long, e2 long"))
+@pytest.fixture(scope="module")
+def simple_bsl(spark, simple_pair):
+    return bsl.run_bsl(simple_pair, spark.createDataFrame([(1, 9), (1, 8)], "e1 long, e2 long"))
+
+
+def test_sweep_prefix_property_used(simple_bsl):
+    best, outcomes = simple_bsl
     assert len(outcomes) == 420
     assert best.f1 == max(o.f1 for o in outcomes)
     # the (1,9) pair is a perfect match under unigram jaccard
@@ -173,10 +178,9 @@ def _digest(outcomes) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_golden_outcomes(spark, simple_pair, toy_pair, restaurant_bsl):
-    cands = spark.createDataFrame([(1, 9), (1, 8)], "e1 long, e2 long")
+def test_golden_outcomes(simple_bsl, toy_pair, restaurant_bsl):
     got = {
-        "simple": _digest(bsl.run_bsl(simple_pair, cands)[1]),
+        "simple": _digest(simple_bsl[1]),
         "toy": _digest(bsl.run_bsl(toy_pair, bsl_candidates(toy_pair))[1]),
         "restaurant": _digest(restaurant_bsl[1]),
     }

@@ -63,11 +63,11 @@ class BSLOutcome:
 def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> tuple[DataFrame, DataFrame]:
     """Per-KB (eid, n, gram, w_tf, w_tfidf); IDF over the union corpus.
 
-    A gram's document frequency counts its per-entity rows in both KBs, in
-    one window over the union, so both KBs' weights come from one plan.
-    (Ids are local to each KB, so a distinct count over (gram, eid) would
-    merge an E1 and an E2 entity that share an id.) IDF is keyed by the
-    gram alone: its token count fixes its n.
+    A gram's document frequency is its number of per-entity rows in both
+    KBs, counted by one window over their union. Ids are local to each KB,
+    so counting distinct (gram, eid) would merge an E1 and an E2 entity
+    that share an id. IDF is keyed by the gram alone: its token count
+    fixes its n.
     """
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
     df = F.count("*").over(Window.partitionBy("gram"))

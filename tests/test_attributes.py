@@ -1,5 +1,7 @@
 """Tests for predicate importance over attributes and name discovery
 (repro.core.attributes)."""
+import hashlib
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -102,3 +104,39 @@ def test_tie_break_deterministic(spark):
         [(1, "b", "x", False), (1, "a", "y", False), (2, "b", "z", False), (2, "a", "w", False)],
     )
     assert top_k_name_attributes(kb, 1) == ["a"]  # equal importance -> name order
+
+
+# Recorded from the per-predicate Spark aggregation that ranked names and
+# relations separately (seed 42, scale 1): for each KB, the number of
+# predicates and a digest of every (is_rel, pred, float.hex of support,
+# discriminability and importance). A rewrite must keep every bit.
+GOLDEN_IMPORTANCES = {
+    "restaurant_pair": ((9, "a4e58b82dbae4a72"), (9, "19d69afe5596a68c")),
+    "bbc_pair": ((30, "01dd6075e3635372"), (240, "f264c8f794b98c69")),
+    "rexa_pair": ((28, "0eeec300d9e78084"), (40, "ca39e743094e4336")),
+    "yago_pair": ((20, "586b9f35d5786c24"), (27, "70fa8f1b5e6719aa")),
+}
+
+
+def _importances(kb):
+    """(is_rel, pred, support, discriminability, importance) of every
+    literal attribute and relation of ``kb``."""
+    n = kb.n_entities()
+    lits = importance(kb.literals(), "obj", n).collect()
+    rels = importance(kb.relations(), "nbr", n).collect()
+    return [(False, *r) for r in lits] + [(True, *r) for r in rels]
+
+
+def _importance_digest(kb) -> tuple[int, str]:
+    rows = sorted(_importances(kb))
+    text = "\n".join(
+        f"{rel},{pred},{s.hex()},{d.hex()},{i.hex()}" for rel, pred, s, d, i in rows
+    )
+    return len(rows), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("pair_name", sorted(GOLDEN_IMPORTANCES))
+def test_golden_importances(request, pair_name):
+    pair = request.getfixturevalue(pair_name)
+    got = (_importance_digest(pair.kb1), _importance_digest(pair.kb2))
+    assert got == GOLDEN_IMPORTANCES[pair_name]

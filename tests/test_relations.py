@@ -72,6 +72,19 @@ def test_no_relations(spark):
     assert top_neighbors(kb, 3).count() == 0
 
 
+def test_discriminability_counts_neighbor_ids(spark):
+    """Relation objects are entity ids: "007" and "7" name one neighbor,
+    so ``knows`` has discriminability 1/2, not the 2/2 of distinct strings."""
+    kb = kb_from_rows(
+        spark, "E1",
+        [(1, "knows", "007", True), (2, "knows", "7", True), (7, "name", "x", False)],
+    )
+    imp = {r.pred: r for r in relation_importance(kb).collect()}
+    assert imp["knows"].support == 2 / 3
+    assert imp["knows"].discriminability == 0.5
+    assert imp["knows"].importance == 2 * (2 / 3) * 0.5 / (2 / 3 + 0.5)
+
+
 def test_importance_vs_oracle(kb):
     df = relation_importance(kb).select("pred", "support", "discriminability")
     rels = kb.relations().toPandas()

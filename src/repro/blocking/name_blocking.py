@@ -2,16 +2,17 @@
 
 Entire entity names (the literal values of the k most important
 attributes per KB, see :mod:`repro.core.attributes`) act as blocking
-keys. A block whose key occurs in both KBs generates n1*n2 comparisons;
-a block with exactly one entity from each KB is an H1 match: the two
-entities — and only they — have that name.
+keys; their block index is :func:`repro.blocking.token_blocking.block_index`
+over the two name-key tables. A block with exactly one entity from each
+KB is an H1 match: the two entities — and only they — have that name. H1
+needs no index for that: per KB, a name's block count and smallest
+entity id give its one entity whenever the count is 1.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import token_blocking
 from repro.core.attributes import entity_names
 from repro.kb.schema import KBPair
 
@@ -23,12 +24,14 @@ def name_keys(pair: KBPair, k: int = 2) -> tuple[DataFrame, DataFrame]:
     return n1, n2
 
 
-def block_index(
-    pair: KBPair, k: int = 2, keys: tuple[DataFrame, DataFrame] | None = None
-) -> DataFrame:
-    """(key, n1, n2) index over cross-KB name blocks."""
-    n1, n2 = keys if keys is not None else name_keys(pair, k)
-    return token_blocking.block_index(n1, n2)
+def _single_owner(keys: DataFrame, eid: str) -> DataFrame:
+    """(token, ``eid``) for the name keys that exactly one entity has."""
+    return (
+        keys.groupBy("token")
+        .agg(F.count("*").alias("n"), F.min("eid").alias(eid))
+        .filter("n = 1")
+        .select("token", eid)
+    )
 
 
 def h1_matches(
@@ -37,16 +40,12 @@ def h1_matches(
     """(e1, e2) pairs from name blocks with exactly one entity per KB.
 
     ``keys`` allows a caller that already computed (and cached) the name
-    keys to avoid re-deriving attribute importance.
+    keys to avoid re-deriving them.
     """
     n1, n2 = keys if keys is not None else name_keys(pair, k)
-    singles = block_index(pair, k, (n1, n2)).filter("n1 = 1 AND n2 = 1").select(
-        F.col("key").alias("token")
-    )
     return (
-        n1.join(singles, "token")
-        .select(F.col("eid").alias("e1"), "token")
-        .join(n2.join(singles, "token").select(F.col("eid").alias("e2"), "token"), "token")
+        _single_owner(n1, "e1")
+        .join(_single_owner(n2, "e2"), "token")
         .select("e1", "e2")
         .distinct()
     )

@@ -20,7 +20,8 @@ the paper reports (its Table II ||B_T|| / |E1||E2| ratios are 0.08%-1.3%
 across the four datasets, consistent with the 1% default).
 
 The per-cardinality histogram is tiny (one row per distinct block
-cardinality), so it is aggregated in Spark and scanned on the driver.
+cardinality), so it is aggregated in Spark, then sorted and scanned on
+the driver.
 """
 from __future__ import annotations
 
@@ -50,24 +51,24 @@ def purge_threshold(
     exceeds the budget: 1x1 blocks are the highest-precision evidence
     the collection has.
     """
-    hist = (
-        index.select((F.col("n1") * F.col("n2")).alias("card"))
+    hist = sorted(
+        (int(r["card"]), int(r["blocks"]))
+        for r in index.select((F.col("n1") * F.col("n2")).alias("card"))
         .groupBy("card")
         .agg(F.count("*").alias("blocks"))
-        .orderBy("card")
         .collect()
     )
     if not hist:
         return 0
     budget = max(budget_factor * cartesian, min_budget)
     cc = 0.0
-    threshold = int(hist[0]["card"])
-    for r in hist:
-        level = int(r["card"]) * int(r["blocks"])
+    threshold = hist[0][0]
+    for card, blocks in hist:
+        level = card * blocks
         if cc + level > budget and cc > 0:
             break
         cc += level
-        threshold = int(r["card"])
+        threshold = card
     return threshold
 
 

@@ -8,10 +8,14 @@ The paper uses this one formula twice: over literal attributes, whose k
 most important per KB provide the values that serve as entity *names*
 (no rdfs:label or schema knowledge required), and over relations, whose
 N most important define the neighborhoods of H3
-(:mod:`repro.core.relations`). ``rdf:type`` triples are excluded
-(DESIGN.md §6).
+(:mod:`repro.core.relations`). Both read the counts of
+:meth:`repro.kb.schema.KB.predicate_stats`, one pass per KB kept on the
+driver, so ranking is plain arithmetic here. ``rdf:type`` triples are
+excluded (DESIGN.md §6).
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -19,29 +23,33 @@ from pyspark.sql import functions as F
 from repro.kb.schema import KB
 
 
-def importance(triples: DataFrame, obj_col: str, n_entities: int) -> DataFrame:
-    """(pred, support, discriminability, importance) of each predicate of
-    the (eid, pred, ``obj_col``) ``triples`` of a KB with ``n_entities``."""
-    per_pred = triples.groupBy("pred").agg(
-        F.countDistinct("eid").alias("n_e"),
-        F.countDistinct(obj_col).alias("n_obj"),
-    )
-    support = F.col("n_e") / F.lit(float(n_entities))
-    discr = F.col("n_obj") / F.col("n_e")
-    return per_pred.select(
-        "pred",
-        support.alias("support"),
-        discr.alias("discriminability"),
-        (2 * support * discr / (support + discr)).alias("importance"),
-    )
+class Importance(NamedTuple):
+    pred: str
+    support: float
+    discriminability: float
+    importance: float
 
 
-def top_predicates(importances: DataFrame, n: int) -> list[str]:
-    """The n predicates with the highest importance (ties by name, stable)."""
-    rows = (
-        importances.orderBy(F.desc("importance"), F.asc("pred")).limit(n).collect()
-    )
-    return [r["pred"] for r in rows]
+def importance(kb: KB, relations: bool = False) -> list[Importance]:
+    """The importance of each literal attribute of ``kb``, or of each of its
+    relations."""
+    n_entities = float(kb.n_entities())
+    out = []
+    for r in kb.predicate_stats():
+        if r["is_rel"] == relations:
+            support = r["n_e"] / n_entities
+            discr = r["n_obj"] / r["n_e"]
+            out.append(
+                Importance(r["pred"], support, discr, 2 * support * discr / (support + discr))
+            )
+    return out
+
+
+def top_predicates(kb: KB, n: int, relations: bool = False) -> list[str]:
+    """The n attributes (or relations) of ``kb`` with the highest
+    importance (ties by name)."""
+    ranked = sorted(importance(kb, relations), key=lambda p: (-p.importance, p.pred))
+    return [p.pred for p in ranked[:n]]
 
 
 def entity_names(kb: KB, k: int = 2) -> DataFrame:
@@ -51,10 +59,9 @@ def entity_names(kb: KB, k: int = 2) -> DataFrame:
     Normalization mirrors tokenization casing so that name equality is
     insensitive to case and surrounding whitespace.
     """
-    lits = kb.literals()
-    attrs = top_predicates(importance(lits, "obj", kb.n_entities()), k)
     return (
-        lits.filter(F.col("pred").isin(attrs))
+        kb.literals()
+        .filter(F.col("pred").isin(top_predicates(kb, k)))
         .select("eid", F.trim(F.lower(F.col("obj"))).alias("name"))
         .distinct()
     )

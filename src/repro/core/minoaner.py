@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking, purging
+from repro.blocking import name_blocking, purging, token_blocking
 from repro.blocking.tokenize import entity_tokens
 from repro.core import heuristics, relations, value_sim
 from repro.kb.schema import KBPair
@@ -41,8 +41,10 @@ def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResul
     """Run the full non-iterative matching process on a KB pair."""
     t1 = entity_tokens(pair.kb1).cache()
     t2 = entity_tokens(pair.kb2).cache()
-    bt, _ = purging.purged_token_blocks(pair, t1, t2, cfg.budget_factor)
-    vsims = value_sim.value_similarities(t1, t2, bt.select("key")).cache()
+    index = token_blocking.block_index(t1, t2).cache()
+    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
+    bt, _ = purging.purge(index, cartesian, cfg.budget_factor)
+    vsims = value_sim.value_similarities(t1, t2, bt).cache()
     nbrs1 = relations.top_neighbors(pair.kb1, cfg.N)
     nbrs2 = relations.top_neighbors(pair.kb2, cfg.N)
     nsims = heuristics.neighbor_similarities(vsims, nbrs1, nbrs2).cache()
@@ -79,6 +81,6 @@ def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResul
         [(r["e1"], r["e2"], r["heuristic"]) for r in rows],
         schema="e1 long, e2 long, heuristic string",
     )
-    for df in (vsims, nsims, t1, t2, h1, h2, *nk):
+    for df in (vsims, nsims, index, t1, t2, h1, h2, *nk):
         df.unpersist()
     return MinoanERResult(matches=out, counts=counts)

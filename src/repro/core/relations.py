@@ -11,12 +11,11 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.attributes import importance, top_predicates
+from repro.core.attributes import top_predicates
 from repro.kb.schema import KB
 
 
 def top_neighbors(kb: KB, n: int = 3) -> DataFrame:
     """(eid, nbr) — distinct neighbors through the top-n relations."""
-    rels = kb.relations()
-    top = top_predicates(importance(rels, "nbr", kb.n_entities()), n)
-    return rels.filter(F.col("pred").isin(top)).select("eid", "nbr").distinct()
+    top = top_predicates(kb, n, relations=True)
+    return kb.relations().filter(F.col("pred").isin(top)).select("eid", "nbr").distinct()

@@ -13,8 +13,10 @@ infrequent tokens".
 The sum ranges over the tokens that survive Block Purging (similarities
 "are extracted from a set of blocks"; purged blocks no longer exist),
 while EF itself is the pre-purge block size — a KB statistic. The weights
-therefore come straight from :func:`repro.blocking.token_blocking.block_index`,
-whose ``n1``/``n2`` *are* EF_E1(t)/EF_E2(t).
+therefore come straight from the (key, n1, n2) block index of
+:func:`repro.blocking.token_blocking.block_index`, whose ``n1``/``n2``
+*are* EF_E1(t)/EF_E2(t): ``match()`` passes the purged index it built for
+Block Purging, so no block is counted twice.
 """
 from __future__ import annotations
 
@@ -25,17 +27,18 @@ from repro.blocking.token_blocking import block_index
 
 
 def value_similarities(
-    tokens1: DataFrame, tokens2: DataFrame, kept_keys: DataFrame | None = None
+    tokens1: DataFrame, tokens2: DataFrame, blocks: DataFrame | None = None
 ) -> DataFrame:
     """(e1, e2, sim) for every cross-KB pair co-occurring in a kept block.
 
-    ``kept_keys`` is the one-column ``key`` DataFrame of blocks surviving
-    purging; None means no purging. Pairs absent from the result have
+    ``blocks`` is the (key, n1, n2) index of the blocks surviving purging,
+    or only its ``key`` column, whose block sizes are then counted from
+    the tokens; None means no purging. Pairs absent from the result have
     valueSim 0 by definition.
     """
-    blocks = block_index(tokens1, tokens2)
-    if kept_keys is not None:
-        blocks = blocks.join(kept_keys.select("key"), "key")
+    if blocks is None or "n1" not in blocks.columns:
+        index = block_index(tokens1, tokens2)
+        blocks = index if blocks is None else index.join(blocks.select("key"), "key")
     w = blocks.select(
         F.col("key").alias("token"),
         (1.0 / F.log2(F.col("n1") * F.col("n2") + 1)).alias("w"),

@@ -1,32 +1,25 @@
 """Dataset statistics — reproduces Table I rows for a KBPair."""
 from __future__ import annotations
 
-from pyspark.sql import functions as F
-
 from repro.blocking.tokenize import avg_tokens_per_entity
 from repro.kb.schema import KB, KBPair, TYPE_PRED
 
 
-def _namespaces(kb: KB) -> int:
-    """Distinct predicate namespace prefixes ('ns0:a3' -> 'ns0')."""
-    return (
-        kb.triples.filter(F.col("pred") != TYPE_PRED)
-        .select(F.split("pred", ":").getItem(0).alias("ns"))
-        .distinct()
-        .count()
-    )
-
-
 def kb_stats(kb: KB) -> dict:
-    """Per-KB half of a Table I column."""
+    """Per-KB half of a Table I column. Attributes, relations and
+    vocabularies (predicate namespace prefixes, 'ns0:a3' -> 'ns0') are
+    read from the KB's predicate statistics."""
+    preds = kb.predicate_stats()
     return {
         "entities": kb.n_entities(),
         "triples": kb.n_triples(),
         "avg_tokens": round(avg_tokens_per_entity(kb), 2),
-        "attributes": kb.literals().select("pred").distinct().count(),
-        "relations": kb.relations().select("pred").distinct().count(),
+        "attributes": sum(not r["is_rel"] for r in preds),
+        "relations": sum(r["is_rel"] for r in preds),
         "types": kb.types().select("type").distinct().count(),
-        "vocabularies": _namespaces(kb),
+        "vocabularies": len(
+            {r["pred"].split(":")[0] for r in preds if r["pred"] != TYPE_PRED}
+        ),
     }
 
 

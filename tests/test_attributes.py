@@ -11,11 +11,11 @@ from repro.oracle import assert_equivalent
 
 
 def attribute_importance(kb):
-    return importance(kb.literals(), "obj", kb.n_entities())
+    return importance(kb)
 
 
 def top_k_name_attributes(kb, k):
-    return top_predicates(attribute_importance(kb), k)
+    return top_predicates(kb, k)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def kb(spark):
 
 
 def test_importance_values(kb):
-    imp = {r.pred: r for r in attribute_importance(kb).collect()}
+    imp = {r.pred: r for r in attribute_importance(kb)}
     # name: support 1, discriminability 1 -> importance 1
     assert imp["name"].support == pytest.approx(1.0)
     assert imp["name"].discriminability == pytest.approx(1.0)
@@ -50,7 +50,7 @@ def test_importance_values(kb):
 
 
 def test_relations_and_types_excluded(kb):
-    preds = {r.pred for r in attribute_importance(kb).collect()}
+    preds = {r.pred for r in attribute_importance(kb)}
     assert preds == {"name", "status", "note"}
 
 
@@ -75,8 +75,8 @@ def test_entity_names_multiple_attrs(kb):
     assert (3, "n3") in names and not any(n == "active" for _, n in names)
 
 
-def test_importance_vs_oracle(kb):
-    df = attribute_importance(kb).select("pred", "support", "discriminability")
+def test_importance_vs_oracle(spark, kb):
+    df = spark.createDataFrame(attribute_importance(kb)).drop("importance")
     lits = kb.literals().toPandas()
     n = kb.n_entities()
     sql = f"""
@@ -121,9 +121,8 @@ GOLDEN_IMPORTANCES = {
 def _importances(kb):
     """(is_rel, pred, support, discriminability, importance) of every
     literal attribute and relation of ``kb``."""
-    n = kb.n_entities()
-    lits = importance(kb.literals(), "obj", n).collect()
-    rels = importance(kb.relations(), "nbr", n).collect()
+    lits = importance(kb)
+    rels = importance(kb, relations=True)
     return [(False, *r) for r in lits] + [(True, *r) for r in rels]
 
 

@@ -6,8 +6,8 @@ H4 from the same intermediates as plain SQL window queries with the same
 tie-breaks: score desc, then the other side's id asc; H3 breaks aggregate
 ties by valueSim desc first.
 
-The plan-shape budgets below count the Exchange and Sort nodes of H3, H4
-and the one-pass BSL scoring plan.
+The plan-shape budgets below count the Exchange and Sort nodes of H1,
+valueSim, H3, H4 and the one-pass BSL scoring plan.
 """
 import functools
 
@@ -16,7 +16,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines import bsl
-from repro.blocking import name_blocking, purging
+from repro.blocking import name_blocking, purging, token_blocking
 from repro.blocking.tokenize import entity_tokens
 from repro.core import heuristics, relations, value_sim
 from repro.core.minoaner import MinoanERConfig
@@ -96,22 +96,30 @@ WHERE EXISTS (SELECT 1 FROM ok1 o WHERE o.e1 = p.e1 AND o.e2 = p.e2)
     scope="module", params=["toy_pair", "restaurant_pair", "bbc_pair"]
 )
 def stages(request):
-    """The cached inputs of H2-H4 for one pair, built as ``match()`` does."""
+    """The cached inputs of H2-H4 for one pair, built as ``match()`` does,
+    and the plan shapes of H1 and valueSim over their own cached inputs."""
     pair = request.getfixturevalue(request.param)
     t1 = entity_tokens(pair.kb1).cache()
     t2 = entity_tokens(pair.kb2).cache()
-    bt, _ = purging.purged_token_blocks(pair, t1, t2, CFG.budget_factor)
-    vsims = value_sim.value_similarities(t1, t2, bt.select("key")).cache()
+    index = token_blocking.block_index(t1, t2).cache()
+    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
+    bt, _ = purging.purge(index, cartesian, CFG.budget_factor)
+    nk = tuple(df.cache() for df in name_blocking.name_keys(pair, CFG.k))
+    for df in nk:
+        df.count()  # a materialized cache may tell the planner its partitioning
+    vsims = value_sim.value_similarities(t1, t2, bt)
+    h1 = name_blocking.h1_matches(pair, CFG.k, nk)
+    shapes = {"h1": _plan_shape(h1), "value_sim": _plan_shape(vsims)}
+    vsims, h1 = vsims.cache(), h1.cache()
     nsims = heuristics.neighbor_similarities(
         vsims,
         relations.top_neighbors(pair.kb1, CFG.N),
         relations.top_neighbors(pair.kb2, CFG.N),
     ).cache()
-    h1 = name_blocking.h1_matches(pair, CFG.k).cache()
     for df in (vsims, nsims, h1):
-        df.count()  # a materialized cache may tell the planner its partitioning
-    yield pair, vsims, nsims, h1
-    for df in (vsims, nsims, h1, t1, t2):
+        df.count()
+    yield pair, vsims, nsims, h1, shapes
+    for df in (vsims, nsims, h1, index, t1, t2, *nk):
         df.unpersist()
 
 
@@ -127,7 +135,7 @@ def _h1_h2_h3(vsims, nsims, h1):
 
 
 def test_definition1_vs_oracle(stages):
-    pair, vsims, nsims, h1 = stages
+    pair, vsims, nsims, h1, _ = stages
     final = heuristics.h4_filter(
         functools.reduce(DataFrame.unionByName, _h1_h2_h3(vsims, nsims, h1)),
         vsims,
@@ -157,15 +165,28 @@ def _plan_shape(df: DataFrame) -> tuple[int, int]:
     return shuffles, sorts
 
 
-# (Exchange, Sort) budget of each heuristic's own plan over materialized
-# cached inputs. Ranking each candidate list separately took (9, 12) for
-# H3 and (20, 33) for H4.
-PLAN_BUDGET = {"h3": (4, 7), "h4": (4, 8)}
+# (Exchange, Sort) budget of each stage's own plan over materialized
+# cached inputs: the name keys for H1; the tokens and the purged block
+# index that Block Purging read for valueSim. Ranking each candidate list
+# separately took (9, 12) for H3 and (20, 33) for H4. Joining the singles
+# of a name block index back to both name-key tables took (7, 6) for H1,
+# and rebuilding the token block index to join the kept keys took (7, 6)
+# for valueSim (Restaurant).
+PLAN_BUDGET = {"h1": (3, 2), "value_sim": (3, 2), "h3": (4, 7), "h4": (4, 8)}
+
+
+def test_blocking_plan_shape_within_budget(stages):
+    """H1 counts name blocks and valueSim weighs the purged index, each
+    without building a block index again."""
+    *_, shapes = stages
+    for stage, (shuffles, sorts) in shapes.items():
+        budget = PLAN_BUDGET[stage]
+        assert shuffles <= budget[0] and sorts <= budget[1], (stage, shapes[stage])
 
 
 def test_plan_shape_within_budget(stages):
     """A machine-independent guard on how often H3 and H4 shuffle and sort."""
-    _, vsims, nsims, h1 = stages
+    _, vsims, nsims, h1, _ = stages
     h1, h2, h3 = _h1_h2_h3(vsims, nsims, h1)
     h2 = h2.cache()  # as in match()
     h2.count()

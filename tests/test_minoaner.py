@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.minoaner import MinoanERConfig, match
 from repro.eval.metrics import precision_recall_f1
-from repro.kb.schema import pair_from_rows
+from repro.kb.schema import KB, KBPair, pair_from_rows
 
 
 def test_config_defaults_match_paper():
@@ -176,3 +176,46 @@ def test_shuffle_partition_invariance(spark, request, pair_name):
     finally:
         spark.conf.set(key, saved)
     assert got[1] == got[8] == got[37]
+
+
+# ------------------------------------------------------------- job budget
+# Spark jobs of one match() on Restaurant with |E| known and the predicate
+# statistics not yet computed. Ranking names and relations with a
+# distinct-count plan each, building the token block index twice and
+# joining a name block index back for H1 took 66; one statistics pass per
+# KB, one cached block index and H1 from name-block counts take 48.
+MATCH_JOB_BUDGET = 50
+
+
+@pytest.fixture(scope="module")
+def restaurant_match_trace(spark, restaurant_pair):
+    """One match() on fresh KB objects over Restaurant's triples, run in
+    its own job group: (its job ids, the persisted RDD ids before and
+    after it)."""
+    p = restaurant_pair
+    pair = KBPair(p.name, KB(p.kb1.tag, p.kb1.triples), KB(p.kb2.tag, p.kb2.triples),
+                  p.ground_truth)
+    pair.kb1.n_entities(), pair.kb2.n_entities()
+    sc = spark.sparkContext
+    before = set(sc._jsc.getPersistentRDDs().keys())
+    sc.setJobGroup("test-match-jobs", "one match() on Restaurant")
+    try:
+        match(pair)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    after = set(sc._jsc.getPersistentRDDs().keys())
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    jobs = sc.statusTracker().getJobIdsForGroup("test-match-jobs")
+    return jobs, before, after
+
+
+def test_match_job_budget(restaurant_match_trace):
+    jobs, _, _ = restaurant_match_trace
+    assert len(jobs) <= MATCH_JOB_BUDGET, len(jobs)
+
+
+def test_match_releases_its_caches(restaurant_match_trace):
+    """Every DataFrame match() caches is unpersisted before it returns."""
+    _, before, after = restaurant_match_trace
+    assert after == before

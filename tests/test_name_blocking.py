@@ -1,7 +1,7 @@
 """Tests for Name Blocking / H1 (repro.blocking.name_blocking)."""
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking
+from repro.blocking import name_blocking, token_blocking
 from repro.kb.schema import pair_from_rows
 
 
@@ -24,7 +24,8 @@ def test_block_index_counts(spark):
         [(1, "x"), (2, "x"), (3, "y")],
         [(9, "x"), (8, "y"), (7, "y")],
     )
-    idx = {r.key: (r.n1, r.n2) for r in name_blocking.block_index(pair, 1).collect()}
+    index = token_blocking.block_index(*name_blocking.name_keys(pair, 1))
+    idx = {r.key: (r.n1, r.n2) for r in index.collect()}
     assert idx == {"x": (2, 1), "y": (1, 2)}
 
 

@@ -9,11 +9,11 @@ from repro.oracle import assert_equivalent
 
 
 def relation_importance(kb):
-    return importance(kb.relations(), "nbr", kb.n_entities())
+    return importance(kb, relations=True)
 
 
 def top_n_relations(kb, n):
-    return top_predicates(relation_importance(kb), n)
+    return top_predicates(kb, n, relations=True)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def kb(spark):
 
 
 def test_importance(kb):
-    imp = {r.pred: r for r in relation_importance(kb).collect()}
+    imp = {r.pred: r for r in relation_importance(kb)}
     assert imp["knows"].support == pytest.approx(1.0)
     assert imp["knows"].discriminability == pytest.approx(1.0)
     # likes: support 1/3, discriminability 2/1 = 2
@@ -45,7 +45,7 @@ def test_importance(kb):
 
 
 def test_literals_excluded(kb):
-    assert {r.pred for r in relation_importance(kb).collect()} == {"knows", "likes"}
+    assert {r.pred for r in relation_importance(kb)} == {"knows", "likes"}
 
 
 def test_top_n(kb):
@@ -79,14 +79,14 @@ def test_discriminability_counts_neighbor_ids(spark):
         spark, "E1",
         [(1, "knows", "007", True), (2, "knows", "7", True), (7, "name", "x", False)],
     )
-    imp = {r.pred: r for r in relation_importance(kb).collect()}
+    imp = {r.pred: r for r in relation_importance(kb)}
     assert imp["knows"].support == 2 / 3
     assert imp["knows"].discriminability == 0.5
     assert imp["knows"].importance == 2 * (2 / 3) * 0.5 / (2 / 3 + 0.5)
 
 
-def test_importance_vs_oracle(kb):
-    df = relation_importance(kb).select("pred", "support", "discriminability")
+def test_importance_vs_oracle(spark, kb):
+    df = spark.createDataFrame(relation_importance(kb)).drop("importance")
     rels = kb.relations().toPandas()
     n = kb.n_entities()
     sql = f"""

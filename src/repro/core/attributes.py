@@ -9,7 +9,7 @@ most important per KB provide the values that serve as entity *names*
 (no rdfs:label or schema knowledge required), and over relations, whose
 N most important define the neighborhoods of H3
 (:mod:`repro.core.relations`). Both read the counts of
-:meth:`repro.kb.schema.KB.predicate_stats`, one pass per KB kept on the
+:attr:`repro.kb.schema.KB.predicate_stats`, one pass per KB kept on the
 driver, so ranking is plain arithmetic here. ``rdf:type`` triples are
 excluded (DESIGN.md §6).
 """
@@ -35,7 +35,7 @@ def importance(kb: KB, relations: bool = False) -> list[Importance]:
     relations."""
     n_entities = float(kb.n_entities())
     out = []
-    for r in kb.predicate_stats():
+    for r in kb.predicate_stats:
         if r["is_rel"] == relations:
             support = r["n_e"] / n_entities
             discr = r["n_obj"] / r["n_e"]

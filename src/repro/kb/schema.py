@@ -13,10 +13,6 @@ DataFrame with columns:
 ``rdf:type`` triples are encoded with ``pred == TYPE_PRED`` and
 ``is_rel=False``; they are excluded from the "attributes" statistics and
 from name-attribute selection (DESIGN.md §6).
-
-Two per-KB statistics are computed on first use and kept on the driver:
-|E| and the per-predicate counts that predicate importance, name
-discovery, top-N relations and Table I all read.
 """
 from __future__ import annotations
 
@@ -65,26 +61,19 @@ class KB:
     def _n_entities(self) -> int:
         return self.entities().count()
 
+    @cached_property
     def predicate_stats(self) -> tuple[Row, ...]:
         """One (is_rel, pred, n_e, n_obj) row per predicate of the literals
-        and relations: the number of distinct subjects and of distinct
-        objects, a relation's objects counted as entity ids (``nbr``).
-        Computed in one pass on first use only."""
-        return self._predicate_stats
-
-    @cached_property
-    def _predicate_stats(self) -> tuple[Row, ...]:
-        is_rel = F.col("is_rel")
-        obj = F.when(is_rel, F.col("obj").cast("long").cast("string")).otherwise(
-            F.col("obj")
-        )
+        and relations: its distinct subjects and distinct objects, a
+        relation's objects counted as entity ids (``nbr``). One pass, on
+        first use only."""
+        rel = F.col("is_rel")
+        obj = F.col("obj")
+        obj = F.when(rel, obj.cast("long").cast("string")).otherwise(obj)
         return tuple(
-            self.triples.filter(is_rel | (F.col("pred") != TYPE_PRED))
+            self.triples.filter(rel | (F.col("pred") != TYPE_PRED))
             .groupBy("is_rel", "pred")
-            .agg(
-                F.countDistinct("eid").alias("n_e"),
-                F.countDistinct(obj).alias("n_obj"),
-            )
+            .agg(F.countDistinct("eid").alias("n_e"), F.countDistinct(obj).alias("n_obj"))
             .collect()
         )
 

@@ -9,7 +9,7 @@ def kb_stats(kb: KB) -> dict:
     """Per-KB half of a Table I column. Attributes, relations and
     vocabularies (predicate namespace prefixes, 'ns0:a3' -> 'ns0') are
     read from the KB's predicate statistics."""
-    preds = kb.predicate_stats()
+    preds = kb.predicate_stats
     return {
         "entities": kb.n_entities(),
         "triples": kb.n_triples(),

@@ -24,6 +24,8 @@ from repro.kb.schema import KB
 
 
 class Importance(NamedTuple):
+    """One predicate's importance and the two factors it is made of."""
+
     pred: str
     support: float
     discriminability: float

@@ -195,7 +195,8 @@ def restaurant_match_trace(spark, restaurant_pair):
     p = restaurant_pair
     pair = KBPair(p.name, KB(p.kb1.tag, p.kb1.triples), KB(p.kb2.tag, p.kb2.triples),
                   p.ground_truth)
-    pair.kb1.n_entities(), pair.kb2.n_entities()
+    for kb in (pair.kb1, pair.kb2):
+        kb.n_entities()  # |E| is known before the jobs are counted
     sc = spark.sparkContext
     before = set(sc._jsc.getPersistentRDDs().keys())
     sc.setJobGroup("test-match-jobs", "one match() on Restaurant")

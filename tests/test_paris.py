@@ -1,4 +1,6 @@
 """Tests for the simplified PARIS baseline (repro.baselines.paris)."""
+import hashlib
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -129,10 +131,63 @@ def test_one_to_one_output(spark):
     assert out.count() <= 1
 
 
-def test_paris_collapses_on_bbc(bbc_pair):
+# ------------------------------------------------------ golden match sets
+# Recorded before PARIS read the shared predicate statistics (seed 42,
+# scale 1): a refactor is correct only if it keeps every pair and every
+# bit of its probability.
+GOLDEN = {
+    # preset: (rows, digest of the sorted (e1, e2, float.hex(sim)) list)
+    "restaurant": (81, "c7539feee4c85b39"),
+    "bbcmusic_dbpedia": (6, "ad19adec9e65cde4"),
+}
+
+
+def _digest(rows) -> str:
+    text = "\n".join(f"{e1},{e2},{sim.hex()}" for e1, e2, sim in sorted(rows))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """One run_paris per preset, shared by every test of this module:
+    (the matches, their (e1, e2, sim) rows)."""
+    cache = {}
+
+    def run(pair):
+        if pair.name not in cache:
+            out = paris.run_paris(pair)
+            cache[pair.name] = (out, [tuple(r) for r in out.collect()])
+        return cache[pair.name]
+
+    return run
+
+
+@pytest.mark.parametrize("pair_name", ["restaurant_pair", "bbc_pair"])
+def test_golden_matches(runs, request, pair_name):
+    pair = request.getfixturevalue(pair_name)
+    _, rows = runs(pair)
+    assert (len(rows), _digest(rows)) == GOLDEN[pair.name]
+
+
+def test_paris_shuffle_partition_invariance(spark, runs, restaurant_pair):
+    """The matches and their probabilities do not depend on
+    spark.sql.shuffle.partitions."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    got = {}
+    try:
+        for n in (1, 37):
+            spark.conf.set(key, str(n))
+            got[n] = sorted(map(tuple, paris.run_paris(restaurant_pair).collect()))
+    finally:
+        spark.conf.set(key, saved)
+    assert got[1] == got[37] == sorted(runs(restaurant_pair)[1])
+
+
+def test_paris_collapses_on_bbc(runs, bbc_pair):
     """Paper Table III: PARIS F1 = 0.51 on BBCmusic-DBpedia — byte-exact
     literal equality is almost nonexistent, so it has no seeds."""
     from repro.eval.metrics import precision_recall_f1
 
-    m = precision_recall_f1(paris.run_paris(bbc_pair), bbc_pair.ground_truth)
+    m = precision_recall_f1(runs(bbc_pair)[0], bbc_pair.ground_truth)
     assert m["f1"] < 15.0

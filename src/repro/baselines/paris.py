@@ -24,10 +24,18 @@ We reproduce that skeleton in a fixed number of fixed-point iterations:
           P(x,x') = 1 - (1 - P0) * prod over edge-pair evidence e of
                     (1 - weight(e) * P(neighbor pair))
 
-followed by a greedy one-to-one assignment of pairs with P >= 0.5.
-Relation pairs whose total weight cannot influence the result
-(a * w * w' < 0.02, the same floor used to prune the pair table) are
-dropped before the joins.
+followed by a greedy one-to-one assignment of pairs with P >= 0.5
+(``ITERATIONS`` = 5 rounds at most, ``THRESHOLD`` = 0.5). Relation pairs
+whose total weight cannot influence the result (a * w * w' < 0.02, the
+same floor used to prune the pair table) are dropped before the joins.
+
+fun and fun_inv are driver arithmetic over the per-predicate counts of
+:attr:`repro.kb.schema.KB.predicate_stats`, which MinoanER's importance
+reads too. Each KB's (x, r, y) edge table is selected once. The
+alignment has one row per relation pair, so each iteration collects it
+once: an empty alignment ends the loop, and both directions' weights
+are computed on the driver, which keeps the alignment out of the
+propagation plan.
 
 This keeps exactly the two properties the paper's comparison relies on
 (DESIGN.md §3): it thrives on functional relations and exact literals
@@ -79,37 +87,37 @@ def seed_probabilities(pair: KBPair) -> DataFrame:
     )
 
 
-def functionality(kb: KB) -> DataFrame:
-    """(pred, fun) — #subjects / #triples per relation."""
-    return kb.relations().groupBy("pred").agg(
-        (F.countDistinct("eid") / F.count("*")).alias("fun")
+def functionality(kb: KB) -> dict[str, tuple[float, float]]:
+    """pred -> (fun, finv) per relation: #subjects / #triples and
+    #distinct objects / #triples, from :attr:`KB.predicate_stats`."""
+    return {
+        r["pred"]: (r["n_e"] / r["n_t"], r["n_obj"] / r["n_t"])
+        for r in kb.predicate_stats
+        if r["is_rel"]
+    }
+
+
+def _edges(kb: KB, side: int) -> DataFrame:
+    """(x, r, y) — the KB's relation edges, columns suffixed by ``side``."""
+    return kb.relations().select(
+        F.col("eid").alias(f"x{side}"), F.col("pred").alias(f"r{side}"),
+        F.col("nbr").alias(f"y{side}"),
     )
 
 
-def inverse_functionality(kb: KB) -> DataFrame:
-    """(pred, finv) — #distinct objects / #triples per relation."""
-    return kb.relations().groupBy("pred").agg(
-        (F.countDistinct("nbr") / F.count("*")).alias("finv")
-    )
+def _relation_alignment(rel1: DataFrame, rel2: DataFrame, matched: DataFrame) -> DataFrame:
+    """(r1, r2, a) — overlap of relation edges under ``matched``.
 
-
-def _relation_alignment(pair: KBPair, matched: DataFrame) -> DataFrame:
-    """(r1, r2, a) — Jaccard overlap of relation edges under ``matched``.
-
-    ``matched`` is a high-confidence 1-1 (e1, e2) set; an edge pair
-    r1(x,y), r2(x',y') is an overlap hit when x~x' and y~y'.
+    ``rel1`` and ``rel2`` are the KBs' edge tables (:func:`_edges`).
+    ``matched`` holds every (e1, e2) pair with p >= THRESHOLD, so an
+    entity may appear in several pairs; an edge pair r1(x,y), r2(x',y')
+    is an overlap hit when x~x' and y~y'.
     """
-    rel1 = pair.kb1.relations().select(
-        F.col("eid").alias("e1"), F.col("pred").alias("r1"), F.col("nbr").alias("y1")
-    )
-    rel2 = pair.kb2.relations().select(
-        F.col("eid").alias("e2"), F.col("pred").alias("r2"), F.col("nbr").alias("y2")
-    )
-    m_src = matched.select("e1", "e2")
+    m_src = matched.select(F.col("e1").alias("x1"), F.col("e2").alias("x2"))
     m_dst = matched.select(F.col("e1").alias("y1"), F.col("e2").alias("y2"))
     overlap = (
-        rel1.join(m_src, "e1")
-        .join(rel2, "e2")
+        rel1.join(m_src, "x1")
+        .join(rel2, "x2")
         .join(m_dst, ["y1", "y2"], "left_semi")
         .groupBy("r1", "r2")
         .agg(F.count("*").alias("common"))
@@ -119,13 +127,13 @@ def _relation_alignment(pair: KBPair, matched: DataFrame) -> DataFrame:
     # matched. Normalizing by all edges would let unmatched entities
     # (the vast majority at web scale) dilute every alignment to ~0.
     n1 = (
-        rel1.join(m_src.select("e1"), "e1", "left_semi")
+        rel1.join(m_src.select("x1"), "x1", "left_semi")
         .join(m_dst.select("y1"), "y1", "left_semi")
         .groupBy("r1")
         .agg(F.count("*").alias("n1"))
     )
     n2 = (
-        rel2.join(m_src.select("e2"), "e2", "left_semi")
+        rel2.join(m_src.select("x2"), "x2", "left_semi")
         .join(m_dst.select("y2"), "y2", "left_semi")
         .groupBy("r2")
         .agg(F.count("*").alias("n2"))
@@ -142,46 +150,48 @@ def _relation_alignment(pair: KBPair, matched: DataFrame) -> DataFrame:
     )
 
 
+def _release_checkpoint(df: DataFrame) -> None:
+    """Drop the blocks of a localCheckpoint(); ``df.unpersist()`` does not
+    reach the RDD behind it."""
+    df._jdf.queryExecution().analyzed().rdd().unpersist(False)
+
+
+ITERATIONS = 5
+THRESHOLD = 0.5
 WEIGHT_FLOOR = 0.02
 
 
-def run_paris(
-    pair: KBPair, *, iterations: int = 5, threshold: float = 0.5
-) -> DataFrame:
+def run_paris(pair: KBPair) -> DataFrame:
     """Iterate seed -> align -> propagate; return matched (e1, e2, sim)."""
+    spark = pair.kb1.triples.sparkSession
     seeds = seed_probabilities(pair).cache()
-    fun1 = functionality(pair.kb1).withColumnRenamed("pred", "r1").withColumnRenamed("fun", "fun1")
-    fun2 = functionality(pair.kb2).withColumnRenamed("pred", "r2").withColumnRenamed("fun", "fun2")
-    finv1 = inverse_functionality(pair.kb1).withColumnRenamed("pred", "r1").withColumnRenamed("finv", "finv1")
-    finv2 = inverse_functionality(pair.kb2).withColumnRenamed("pred", "r2").withColumnRenamed("finv", "finv2")
-    rel1 = pair.kb1.relations().select(
-        F.col("eid").alias("x1"), F.col("pred").alias("r1"), F.col("nbr").alias("y1")
-    )
-    rel2 = pair.kb2.relations().select(
-        F.col("eid").alias("x2"), F.col("pred").alias("r2"), F.col("nbr").alias("y2")
-    )
+    fun1, fun2 = functionality(pair.kb1), functionality(pair.kb2)
+    rel1, rel2 = _edges(pair.kb1, 1), _edges(pair.kb2, 2)
 
     probs = seeds
-    for _ in range(iterations):
-        confident = probs.filter(F.col("p") >= threshold).select("e1", "e2")
-        align = _relation_alignment(pair, confident)
-        if align.isEmpty():
+    for _ in range(ITERATIONS):
+        confident = probs.filter(F.col("p") >= THRESHOLD).select("e1", "e2")
+        align = _relation_alignment(rel1, rel2, confident).collect()
+        if not align:
             break
-        w_fwd = (
-            align.join(fun1, "r1").join(fun2, "r2")
-            .select("r1", "r2", (F.col("a") * F.col("fun1") * F.col("fun2")).alias("w"))
-            .filter(F.col("w") >= WEIGHT_FLOOR)
+        # forward weight a * fun * fun', backward a * finv * finv'
+        weights = spark.createDataFrame(
+            [
+                (r1, r2, a * fun1[r1][0] * fun2[r2][0], a * fun1[r1][1] * fun2[r2][1])
+                for r1, r2, a in align
+            ],
+            "r1 string, r2 string, fwd double, bwd double",
         )
-        w_bwd = (
-            align.join(finv1, "r1").join(finv2, "r2")
-            .select("r1", "r2", (F.col("a") * F.col("finv1") * F.col("finv2")).alias("w"))
-            .filter(F.col("w") >= WEIGHT_FLOOR)
+        w_fwd = weights.filter(F.col("fwd") >= WEIGHT_FLOOR).select(
+            "r1", "r2", F.col("fwd").alias("w")
         )
-        p_now = probs
-        src_p = p_now.select(
+        w_bwd = weights.filter(F.col("bwd") >= WEIGHT_FLOOR).select(
+            "r1", "r2", F.col("bwd").alias("w")
+        )
+        src_p = probs.select(
             F.col("e1").alias("x1"), F.col("e2").alias("x2"), F.col("p").alias("pn")
         )
-        dst_p = p_now.select(
+        dst_p = probs.select(
             F.col("e1").alias("y1"), F.col("e2").alias("y2"), F.col("p").alias("pn")
         )
         # forward: matched subject pair (x1,x2) -> evidence for the
@@ -212,7 +222,7 @@ def run_paris(
             .groupBy("e1", "e2")
             .agg(F.exp(F.sum(F.log1p(-F.least(F.col("ev"), F.lit(0.999999))))).alias("keep"))
         )
-        probs = (
+        checkpoint = (
             seeds.select("e1", "e2", F.col("p").alias("p0"))
             .join(evidence, ["e1", "e2"], "outer")
             .fillna({"p0": 0.0, "keep": 1.0})
@@ -228,9 +238,14 @@ def run_paris(
             # iteration and the driver OOMs just *printing* it
             .localCheckpoint()
         )
-    scored = probs.filter(F.col("p") >= threshold).select(
+        if probs is not seeds:
+            _release_checkpoint(probs)
+        probs = checkpoint
+    scored = probs.filter(F.col("p") >= THRESHOLD).select(
         "e1", "e2", F.col("p").alias("sim")
     )
-    result = umc_df(scored, threshold)
+    result = umc_df(scored, THRESHOLD)
+    if probs is not seeds:
+        _release_checkpoint(probs)
     seeds.unpersist()
     return result

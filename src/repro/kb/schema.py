@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from pyspark.sql import DataFrame, Row, SparkSession
+from pyspark.sql import Column, DataFrame, Row, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -40,6 +40,12 @@ GT_SCHEMA = T.StructType(
         T.StructField("e2", T.LongType(), False),
     ]
 )
+
+
+def _neighbor_id() -> Column:
+    """A relation object as an entity id: null, not an error under ANSI
+    mode, when the object string is no integer."""
+    return F.col("obj").try_cast("long")
 
 
 @dataclass(frozen=True)
@@ -63,17 +69,22 @@ class KB:
 
     @cached_property
     def predicate_stats(self) -> tuple[Row, ...]:
-        """One (is_rel, pred, n_e, n_obj) row per predicate of the literals
-        and relations: its distinct subjects and distinct objects, a
-        relation's objects counted as entity ids (``nbr``). One pass, on
-        first use only."""
-        rel = F.col("is_rel")
-        obj = F.col("obj")
-        obj = F.when(rel, obj.cast("long").cast("string")).otherwise(obj)
+        """One (is_rel, pred, n_e, n_obj, n_t) row per predicate of the
+        literals and relations: its distinct subjects, distinct objects and
+        triples, a relation's objects counted as entity ids (``nbr``) and
+        its triples as the edges of :meth:`relations`. One pass, on first
+        use only."""
+        rel, nbr = F.col("is_rel"), _neighbor_id()
+        kept = F.when(rel, nbr.isNotNull()).otherwise(F.col("pred") != TYPE_PRED)
+        obj = F.when(rel, nbr.cast("string")).otherwise(F.col("obj"))
         return tuple(
-            self.triples.filter(rel | (F.col("pred") != TYPE_PRED))
+            self.triples.filter(kept)
             .groupBy("is_rel", "pred")
-            .agg(F.countDistinct("eid").alias("n_e"), F.countDistinct(obj).alias("n_obj"))
+            .agg(
+                F.countDistinct("eid").alias("n_e"),
+                F.countDistinct(obj).alias("n_obj"),
+                F.count("*").alias("n_t"),
+            )
             .collect()
         )
 
@@ -87,9 +98,12 @@ class KB:
         )
 
     def relations(self) -> DataFrame:
-        """Object-property triples with the object cast to an entity id."""
-        return self.triples.filter("is_rel").select(
-            "eid", "pred", F.col("obj").cast("long").alias("nbr")
+        """Object-property triples with the object as an entity id; a
+        triple whose object is not an id is no edge."""
+        return (
+            self.triples.filter("is_rel")
+            .select("eid", "pred", _neighbor_id().alias("nbr"))
+            .filter(F.col("nbr").isNotNull())
         )
 
     def types(self) -> DataFrame:

@@ -58,7 +58,7 @@ def test_functionality(spark):
             (1, "m", "2", True), (1, "m", "3", True),       # 1 subject, 2 edges
         ],
     )
-    fun = {r.pred: r.fun for r in paris.functionality(kb).collect()}
+    fun = {pred: f for pred, (f, _) in paris.functionality(kb).items()}
     assert fun["f"] == pytest.approx(1.0)
     assert fun["m"] == pytest.approx(0.5)
 
@@ -89,7 +89,8 @@ def _rel_pair(spark):
 def test_relation_alignment(spark):
     pair = _rel_pair(spark)
     matched = spark.createDataFrame([(1, 11), (2, 12)], "e1 long, e2 long")
-    al = {(r.r1, r.r2): r.a for r in paris._relation_alignment(pair, matched).collect()}
+    rel1, rel2 = paris._edges(pair.kb1, 1), paris._edges(pair.kb2, 2)
+    al = {(r.r1, r.r2): r.a for r in paris._relation_alignment(rel1, rel2, matched).collect()}
     assert al[("r", "s")] == pytest.approx(1.0)
 
 
@@ -98,15 +99,53 @@ def test_functionality_inverse(spark):
         spark, "E1",
         [(1, "m", "9", True), (2, "m", "9", True)],  # hub object
     )
-    finv = paris.inverse_functionality(kb).first()
-    assert finv.finv == pytest.approx(0.5)
+    _, finv = paris.functionality(kb)["m"]
+    assert finv == pytest.approx(0.5)
 
 
-def test_propagation_finds_structural_match(spark):
+# Spark jobs of one run_paris on _rel_pair. Two functionality plans per
+# KB, the relation tables rebuilt in every alignment, an isEmpty() job per
+# iteration and the alignment planned again through both weight tables
+# took 344; functionality from the predicate statistics and one collected
+# alignment per iteration take 178.
+PARIS_JOB_BUDGET = 185
+
+
+@pytest.fixture(scope="module")
+def rel_pair_trace(spark):
+    """One run_paris on _rel_pair, run in its own job group: (its matches,
+    its job ids, the persisted RDD ids before and after it)."""
     pair = _rel_pair(spark)
-    got = {(r.e1, r.e2) for r in paris.run_paris(pair).collect()}
+    sc = spark.sparkContext
+    before = set(sc._jsc.getPersistentRDDs().keys())
+    sc.setJobGroup("test-paris-jobs", "one run_paris on _rel_pair")
+    try:
+        got = {(r.e1, r.e2) for r in paris.run_paris(pair).collect()}
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    after = set(sc._jsc.getPersistentRDDs().keys())
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    jobs = sc.statusTracker().getJobIdsForGroup("test-paris-jobs")
+    return got, jobs, before, after
+
+
+def test_propagation_finds_structural_match(rel_pair_trace):
+    got, _, _, _ = rel_pair_trace
     assert {(1, 11), (2, 12), (4, 14)} <= got
     assert (3, 13) in got, "forward propagation along aligned functional relations"
+
+
+def test_paris_job_budget(rel_pair_trace):
+    _, jobs, _, _ = rel_pair_trace
+    assert len(jobs) <= PARIS_JOB_BUDGET, len(jobs)
+
+
+def test_paris_releases_its_checkpoints(rel_pair_trace):
+    """The seed cache and every iteration's localCheckpoint() are released
+    before run_paris returns."""
+    _, _, before, after = rel_pair_trace
+    assert after == before
 
 
 def test_no_relations_means_seeds_only(spark):

@@ -2,9 +2,11 @@
 (repro.core.attributes, repro.core.relations)."""
 import pytest
 
+from repro.baselines import paris
 from repro.core.attributes import importance, top_predicates
+from repro.core.minoaner import match
 from repro.core.relations import top_neighbors
-from repro.kb.schema import kb_from_rows
+from repro.kb.schema import kb_from_rows, pair_from_rows
 from repro.oracle import assert_equivalent
 
 
@@ -83,6 +85,31 @@ def test_discriminability_counts_neighbor_ids(spark):
     assert imp["knows"].support == 2 / 3
     assert imp["knows"].discriminability == 0.5
     assert imp["knows"].importance == 2 * (2 / 3) * 0.5 / (2 / 3 + 0.5)
+
+
+def test_non_id_object_is_no_edge(spark):
+    """A relation triple whose object is not an entity id is no edge: the
+    statistics, the neighbors and the functionalities ignore it, and
+    match() runs (ANSI mode would raise on a plain cast)."""
+    rows1 = [
+        (1, "name", "alpha one", False), (2, "name", "beta two", False),
+        (1, "knows", "2", True), (2, "knows", "1", True),
+    ]
+    bad = [(1, "knows", "http://x/2", True), (2, "seeAlso", "http://x/1", True)]
+    rows2 = [
+        (11, "label", "alpha one", False), (12, "label", "beta two", False),
+        (11, "link", "12", True),
+    ]
+    clean = pair_from_rows(spark, "t", rows1, rows2, [(1, 11), (2, 12)])
+    dirty = pair_from_rows(spark, "t", rows1 + bad, rows2, [(1, 11), (2, 12)])
+    kb, kb_bad = clean.kb1, dirty.kb1
+    assert sorted(kb_bad.predicate_stats) == sorted(kb.predicate_stats)
+    assert sorted(map(tuple, top_neighbors(kb_bad).collect())) == sorted(
+        map(tuple, top_neighbors(kb).collect())
+    )
+    assert paris.functionality(kb_bad) == paris.functionality(kb)
+    got = sorted(map(tuple, match(dirty).matches.collect()))
+    assert got == sorted(map(tuple, match(clean).matches.collect()))
 
 
 def test_importance_vs_oracle(spark, kb):

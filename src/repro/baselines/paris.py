@@ -97,24 +97,16 @@ def functionality(kb: KB) -> dict[str, tuple[float, float]]:
     }
 
 
-def _edges(kb: KB, side: int) -> DataFrame:
-    """(x, r, y) — the KB's relation edges, columns suffixed by ``side``."""
-    return kb.relations().select(
-        F.col("eid").alias(f"x{side}"), F.col("pred").alias(f"r{side}"),
-        F.col("nbr").alias(f"y{side}"),
-    )
-
-
 def _relation_alignment(rel1: DataFrame, rel2: DataFrame, matched: DataFrame) -> DataFrame:
     """(r1, r2, a) — overlap of relation edges under ``matched``.
 
-    ``rel1`` and ``rel2`` are the KBs' edge tables (:func:`_edges`).
+    ``rel1`` and ``rel2`` are the KBs' (x1, r1, y1) and (x2, r2, y2) edges.
     ``matched`` holds every (e1, e2) pair with p >= THRESHOLD, so an
     entity may appear in several pairs; an edge pair r1(x,y), r2(x',y')
     is an overlap hit when x~x' and y~y'.
     """
-    m_src = matched.select(F.col("e1").alias("x1"), F.col("e2").alias("x2"))
-    m_dst = matched.select(F.col("e1").alias("y1"), F.col("e2").alias("y2"))
+    m_src = matched.toDF("x1", "x2")
+    m_dst = matched.toDF("y1", "y2")
     overlap = (
         rel1.join(m_src, "x1")
         .join(rel2, "x2")
@@ -166,7 +158,8 @@ def run_paris(pair: KBPair) -> DataFrame:
     spark = pair.kb1.triples.sparkSession
     seeds = seed_probabilities(pair).cache()
     fun1, fun2 = functionality(pair.kb1), functionality(pair.kb2)
-    rel1, rel2 = _edges(pair.kb1, 1), _edges(pair.kb2, 2)
+    rel1 = pair.kb1.relations().toDF("x1", "r1", "y1")
+    rel2 = pair.kb2.relations().toDF("x2", "r2", "y2")
 
     probs = seeds
     for _ in range(ITERATIONS):
@@ -182,27 +175,17 @@ def run_paris(pair: KBPair) -> DataFrame:
             ],
             "r1 string, r2 string, fwd double, bwd double",
         )
-        w_fwd = weights.filter(F.col("fwd") >= WEIGHT_FLOOR).select(
-            "r1", "r2", F.col("fwd").alias("w")
-        )
-        w_bwd = weights.filter(F.col("bwd") >= WEIGHT_FLOOR).select(
-            "r1", "r2", F.col("bwd").alias("w")
-        )
-        src_p = probs.select(
-            F.col("e1").alias("x1"), F.col("e2").alias("x2"), F.col("p").alias("pn")
-        )
-        dst_p = probs.select(
-            F.col("e1").alias("y1"), F.col("e2").alias("y2"), F.col("p").alias("pn")
-        )
+        src_p = probs.toDF("x1", "x2", "pn")
+        dst_p = probs.toDF("y1", "y2", "pn")
         # forward: matched subject pair (x1,x2) -> evidence for the
         # object pair (y1,y2) of aligned functional relations
         fwd = (
             rel1.join(src_p, "x1")
-            .join(w_fwd, "r1")
+            .join(weights.filter(F.col("fwd") >= WEIGHT_FLOOR), "r1")
             .join(rel2, ["r2", "x2"])
             .select(
                 F.col("y1").alias("e1"), F.col("y2").alias("e2"),
-                (F.col("w") * F.col("pn")).alias("ev"),
+                (F.col("fwd") * F.col("pn")).alias("ev"),
             )
         )
         # backward: matched object pair (y1,y2) -> evidence for the
@@ -210,11 +193,11 @@ def run_paris(pair: KBPair) -> DataFrame:
         # identify nothing)
         bwd = (
             rel1.join(dst_p, "y1")
-            .join(w_bwd, "r1")
+            .join(weights.filter(F.col("bwd") >= WEIGHT_FLOOR), "r1")
             .join(rel2, ["r2", "y2"])
             .select(
                 F.col("x1").alias("e1"), F.col("x2").alias("e2"),
-                (F.col("w") * F.col("pn")).alias("ev"),
+                (F.col("bwd") * F.col("pn")).alias("ev"),
             )
         )
         evidence = (
@@ -223,7 +206,7 @@ def run_paris(pair: KBPair) -> DataFrame:
             .agg(F.exp(F.sum(F.log1p(-F.least(F.col("ev"), F.lit(0.999999))))).alias("keep"))
         )
         checkpoint = (
-            seeds.select("e1", "e2", F.col("p").alias("p0"))
+            seeds.toDF("e1", "e2", "p0")
             .join(evidence, ["e1", "e2"], "outer")
             .fillna({"p0": 0.0, "keep": 1.0})
             .select(
@@ -241,9 +224,7 @@ def run_paris(pair: KBPair) -> DataFrame:
         if probs is not seeds:
             _release_checkpoint(probs)
         probs = checkpoint
-    scored = probs.filter(F.col("p") >= THRESHOLD).select(
-        "e1", "e2", F.col("p").alias("sim")
-    )
+    scored = probs.filter(F.col("p") >= THRESHOLD).toDF("e1", "e2", "sim")
     result = umc_df(scored, THRESHOLD)
     if probs is not seeds:
         _release_checkpoint(probs)

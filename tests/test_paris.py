@@ -89,7 +89,8 @@ def _rel_pair(spark):
 def test_relation_alignment(spark):
     pair = _rel_pair(spark)
     matched = spark.createDataFrame([(1, 11), (2, 12)], "e1 long, e2 long")
-    rel1, rel2 = paris._edges(pair.kb1, 1), paris._edges(pair.kb2, 2)
+    rel1 = pair.kb1.relations().toDF("x1", "r1", "y1")
+    rel2 = pair.kb2.relations().toDF("x2", "r2", "y2")
     al = {(r.r1, r.r2): r.a for r in paris._relation_alignment(rel1, rel2, matched).collect()}
     assert al[("r", "s")] == pytest.approx(1.0)
 

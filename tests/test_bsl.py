@@ -169,13 +169,16 @@ GOLDEN_OUTCOMES = {
 }
 
 
+def _lines_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def _digest(outcomes) -> str:
-    text = "\n".join(
+    return _lines_digest(
         f"{o.n},{o.measure},{o.threshold},"
         f"{o.precision.hex()},{o.recall.hex()},{o.f1.hex()}"
         for o in outcomes
     )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_golden_outcomes(simple_bsl, toy_pair, restaurant_bsl):
@@ -185,6 +188,31 @@ def test_golden_outcomes(simple_bsl, toy_pair, restaurant_bsl):
         "restaurant": _digest(restaurant_bsl[1]),
     }
     assert got == GOLDEN_OUTCOMES
+
+
+# ----------------------------------------- golden candidates and similarities
+# Recorded before the scoring plan read the weighted grams once and the
+# candidate plan joined the purged keys once: the sorted candidate pairs
+# and the sorted (n, e1, e2, float.hex of the 7 similarities) rows, seed 42.
+GOLDEN_CANDIDATES = {"toy": "9f7dacc88fc949d9", "restaurant": "6aa1690ff95214a0"}
+GOLDEN_SIMILARITIES = {"toy": "1fbdfe3792b4e3ba", "restaurant": "b25c3c6643003444"}
+
+
+@pytest.mark.parametrize("name", ["toy", "restaurant"])
+def test_golden_candidates_and_similarities(request, name):
+    pair = request.getfixturevalue(f"{name}_pair")
+    cands = bsl_candidates(pair).cache()
+    pairs = sorted((r.e1, r.e2) for r in cands.collect())
+    sims = sorted(
+        (r.n, r.e1, r.e2, *(r[m].hex() for m in bsl.MEASURES))
+        for r in bsl.pair_similarities(pair, cands, *bsl.NGRAM_SIZES).collect()
+    )
+    cands.unpersist()
+    got = (
+        _lines_digest(f"{e1},{e2}" for e1, e2 in pairs),
+        _lines_digest(",".join(map(str, r)) for r in sims),
+    )
+    assert got == (GOLDEN_CANDIDATES[name], GOLDEN_SIMILARITIES[name])
 
 
 def test_bsl_shuffle_partition_invariance(spark, restaurant_pair, restaurant_bsl):

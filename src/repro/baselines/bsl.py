@@ -60,17 +60,24 @@ class BSLOutcome:
     f1: float
 
 
-def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> tuple[DataFrame, DataFrame]:
-    """Per-KB (eid, n, gram, w_tf, w_tfidf); IDF over the union corpus.
+# Per-(kb, eid, n) statistics of a document, attached to each of its grams:
+# gram count, sum of weights and L2 norm, per weighting.
+_NORMS = ("c", "s_tf", "s_ti", "nrm_tf", "nrm_ti")
+
+
+def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> DataFrame:
+    """(kb, eid, n, gram, w_tf, w_ti, <_NORMS>); IDF over the union corpus.
 
     A gram's document frequency is its number of per-entity rows in both
     KBs, counted by one window over their union. Ids are local to each KB,
     so counting distinct (gram, eid) would merge an E1 and an E2 entity
     that share an id. IDF is keyed by the gram alone: its token count
-    fixes its n.
+    fixes its n. The document statistics are a second window, over
+    (kb, eid, n), so the table is read once by the scoring join.
     """
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
     df = F.count("*").over(Window.partitionBy("gram"))
+    doc = Window.partitionBy("kb", "eid", "n")
     weighted = (
         entity_ngrams(pair.kb1, *sizes).withColumn("kb", F.lit(1))
         .unionByName(entity_ngrams(pair.kb2, *sizes).withColumn("kb", F.lit(2)))
@@ -80,62 +87,70 @@ def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> tuple[DataFrame, Da
             "n",
             "gram",
             F.col("tf").cast("double").alias("w_tf"),
-            (F.col("tf") * F.log2(1.0 + F.lit(float(n_docs)) / df)).alias("w_tfidf"),
+            (F.col("tf") * F.log2(1.0 + F.lit(float(n_docs)) / df)).alias("w_ti"),
         )
     )
-    return (
-        weighted.filter("kb = 1").drop("kb"),
-        weighted.filter("kb = 2").drop("kb"),
-    )
-
-
-def _entity_norms(grams: DataFrame, side: str) -> DataFrame:
-    """(e<side>, n, c<side>, s<side>_tf, s<side>_ti, nrm<side>_tf, nrm<side>_ti)."""
-    return grams.groupBy(F.col("eid").alias(f"e{side}"), "n").agg(
-        F.count("*").alias(f"c{side}"),
-        F.sum("w_tf").alias(f"s{side}_tf"),
-        F.sum("w_tfidf").alias(f"s{side}_ti"),
-        F.sqrt(F.sum(F.col("w_tf") ** 2)).alias(f"nrm{side}_tf"),
-        F.sqrt(F.sum(F.col("w_tfidf") ** 2)).alias(f"nrm{side}_ti"),
+    return weighted.select(
+        "*",
+        F.count("*").over(doc).alias("c"),
+        F.sum("w_tf").over(doc).alias("s_tf"),
+        F.sum("w_ti").over(doc).alias("s_ti"),
+        F.sqrt(F.sum(F.col("w_tf") ** 2).over(doc)).alias("nrm_tf"),
+        F.sqrt(F.sum(F.col("w_ti") ** 2).over(doc)).alias("nrm_ti"),
     )
 
 
 def pair_similarities(pair: KBPair, candidates: DataFrame, *sizes: int) -> DataFrame:
     """(n, e1, e2, <7 similarity columns>) for each n-gram size in
-    ``sizes`` and each candidate pair sharing >=1 gram of that size."""
-    g1, g2 = _weighted_grams(pair, sizes)
-    common = (
-        candidates.join(g1.withColumnRenamed("eid", "e1"), "e1")
-        .join(
-            g2.withColumnRenamed("eid", "e2")
-            .withColumnRenamed("w_tf", "v_tf")
-            .withColumnRenamed("w_tfidf", "v_tfidf"),
-            ["e2", "n", "gram"],
-        )
-        .groupBy("n", "e1", "e2")
-        .agg(
-            F.count("*").alias("cnt"),
-            F.sum(F.col("w_tf") * F.col("v_tf")).alias("dot_tf"),
-            F.sum(F.col("w_tfidf") * F.col("v_tfidf")).alias("dot_ti"),
-            F.sum(F.least("w_tf", "v_tf")).alias("min_tf"),
-            F.sum(F.least("w_tfidf", "v_tfidf")).alias("min_ti"),
-            F.sum(F.col("w_tf") + F.col("v_tf")).alias("both_tf"),
-            F.sum(F.col("w_tfidf") + F.col("v_tfidf")).alias("both_ti"),
-        )
+    ``sizes`` and each candidate pair sharing >=1 gram of that size.
+
+    Each candidate is split into its two ends, (kb=1, e1) and (kb=2, e2),
+    and both join the weighted grams at once; a gram both ends have is a
+    (n, e1, e2, gram) group of two rows, whose per-side columns are taken
+    apart with ``max(when(kb = ...))``. The document statistics are
+    constant per (n, e1, e2), so they are grouping keys of the final sum.
+    """
+    ends = candidates.select(
+        "e1",
+        "e2",
+        F.inline(F.array(
+            F.struct(F.lit(1).alias("kb"), F.col("e1").alias("eid")),
+            F.struct(F.lit(2).alias("kb"), F.col("e2").alias("eid")),
+        )),
+    )
+    side = {
+        f"{c}{k}": F.max(F.when(F.col("kb") == k, F.col(c)))
+        for k in (1, 2)
+        for c in ("w_tf", "w_ti", *_NORMS)
+    }
+    shared = (
+        ends.join(_weighted_grams(pair, sizes), ["kb", "eid"])
+        .groupBy("n", "e1", "e2", "gram")
+        .agg(F.count("*").alias("ends"), *(e.alias(c) for c, e in side.items()))
+        .filter("ends = 2")
+    )
+    common = shared.groupBy(
+        "n", "e1", "e2", *(f"{c}{k}" for k in (1, 2) for c in _NORMS)
+    ).agg(
+        F.count("*").alias("cnt"),
+        F.sum(F.col("w_tf1") * F.col("w_tf2")).alias("dot_tf"),
+        F.sum(F.col("w_ti1") * F.col("w_ti2")).alias("dot_ti"),
+        F.sum(F.least("w_tf1", "w_tf2")).alias("min_tf"),
+        F.sum(F.least("w_ti1", "w_ti2")).alias("min_ti"),
+        F.sum(F.col("w_tf1") + F.col("w_tf2")).alias("both_tf"),
+        F.sum(F.col("w_ti1") + F.col("w_ti2")).alias("both_ti"),
     )
     sims = {
         "jaccard": F.col("cnt") / (F.col("c1") + F.col("c2") - F.col("cnt")),
-        "cosine_tf": F.col("dot_tf") / (F.col("nrm1_tf") * F.col("nrm2_tf")),
-        "cosine_tfidf": F.col("dot_ti") / (F.col("nrm1_ti") * F.col("nrm2_ti")),
-        "gen_jaccard_tf": F.col("min_tf") / (F.col("s1_tf") + F.col("s2_tf") - F.col("min_tf")),
-        "gen_jaccard_tfidf": F.col("min_ti") / (F.col("s1_ti") + F.col("s2_ti") - F.col("min_ti")),
-        "sigma_tf": F.col("both_tf") / (F.col("s1_tf") + F.col("s2_tf")),
-        "sigma_tfidf": F.col("both_ti") / (F.col("s1_ti") + F.col("s2_ti")),
+        "cosine_tf": F.col("dot_tf") / (F.col("nrm_tf1") * F.col("nrm_tf2")),
+        "cosine_tfidf": F.col("dot_ti") / (F.col("nrm_ti1") * F.col("nrm_ti2")),
+        "gen_jaccard_tf": F.col("min_tf") / (F.col("s_tf1") + F.col("s_tf2") - F.col("min_tf")),
+        "gen_jaccard_tfidf": F.col("min_ti") / (F.col("s_ti1") + F.col("s_ti2") - F.col("min_ti")),
+        "sigma_tf": F.col("both_tf") / (F.col("s_tf1") + F.col("s_tf2")),
+        "sigma_tfidf": F.col("both_ti") / (F.col("s_ti1") + F.col("s_ti2")),
     }
-    return (
-        common.join(_entity_norms(g1, "1"), ["e1", "n"])
-        .join(_entity_norms(g2, "2"), ["e2", "n"])
-        .select("n", "e1", "e2", *(F.round(sims[m], SIM_DECIMALS).alias(m) for m in MEASURES))
+    return common.select(
+        "n", "e1", "e2", *(F.round(sims[m], SIM_DECIMALS).alias(m) for m in MEASURES)
     )
 
 

@@ -35,12 +35,12 @@ def candidate_pairs(
     """(e1, e2) — distinct cross-KB pairs co-occurring in some block.
 
     ``keys``, when given, restricts to the surviving (e.g. purged) block
-    keys: a one-column ``key`` DataFrame.
+    keys: a one-column ``key`` DataFrame. It is joined to ``tokens1``
+    alone, as a pair's block key is on both sides of the token join, so
+    an uncached key plan runs once.
     """
     t1 = tokens1.select(F.col("eid").alias("e1"), "token")
     t2 = tokens2.select(F.col("eid").alias("e2"), "token")
     if keys is not None:
-        kept = keys.select(F.col("key").alias("token"))
-        t1 = t1.join(kept, "token")
-        t2 = t2.join(kept, "token")
+        t1 = t1.join(keys.select(F.col("key").alias("token")), "token")
     return t1.join(t2, "token").select("e1", "e2").distinct()

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.kb import datasets
-from repro.kb.schema import pair_from_rows
+from repro.kb.schema import KB, KBPair, pair_from_rows
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +78,43 @@ def bbc_pair(spark):
 @pytest.fixture(scope="session")
 def yago_pair(spark):
     return _preset(spark, "yago_imdb")
+
+
+@pytest.fixture(scope="session")
+def fresh_restaurant(restaurant_pair):
+    """A factory of Restaurant pairs over new KB objects, so no statistic a
+    KB caches carries over except |E|, which each new KB has counted. The
+    preset's own caches (triples, ground truth) are materialized."""
+    p = restaurant_pair
+
+    def make() -> KBPair:
+        pair = KBPair(p.name, KB(p.kb1.tag, p.kb1.triples),
+                      KB(p.kb2.tag, p.kb2.triples), p.ground_truth)
+        for kb in (pair.kb1, pair.kb2):
+            kb.n_entities()
+        p.ground_truth.count()
+        return pair
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def job_trace(spark):
+    """``job_trace(group, fn)`` runs ``fn()`` in its own job group and
+    returns (its result, its job ids, the persisted RDD ids before and
+    after it)."""
+    sc = spark.sparkContext
+
+    def run(group: str, fn):
+        before = set(sc._jsc.getPersistentRDDs().keys())
+        sc.setJobGroup(group, group)
+        try:
+            out = fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        after = set(sc._jsc.getPersistentRDDs().keys())
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return out, sc.statusTracker().getJobIdsForGroup(group), before, after
+
+    return run

@@ -231,3 +231,18 @@ def test_bsl_shuffle_partition_invariance(spark, restaurant_pair, restaurant_bsl
     finally:
         spark.conf.set(key, saved)
     assert got[1] == got[8] == got[37]
+
+
+# Spark jobs of one run_bsl(pair, bsl_candidates(pair)) on Restaurant with
+# |E| known. Reading the weighted grams once per join side and once per
+# norm table, and building the purged index once per token table, took
+# 53; one weighted-gram table with window norms and one key join take 36.
+BSL_JOB_BUDGET = 38
+
+
+def test_bsl_job_budget(fresh_restaurant, job_trace):
+    pair = fresh_restaurant()
+    _, jobs, _, _ = job_trace(
+        "test-bsl-jobs", lambda: bsl.run_bsl(pair, bsl_candidates(pair))
+    )
+    assert len(jobs) <= BSL_JOB_BUDGET, len(jobs)

@@ -7,7 +7,7 @@ tie-breaks: score desc, then the other side's id asc; H3 breaks aggregate
 ties by valueSim desc first.
 
 The plan-shape budgets below count the Exchange and Sort nodes of H1,
-valueSim, H3, H4 and the one-pass BSL scoring plan.
+valueSim, H3, H4, the one-pass BSL scoring plan and the BSL candidates.
 """
 import functools
 
@@ -205,8 +205,13 @@ def test_plan_shape_within_budget(stages):
 # (Exchange, Sort) budget of scoring every BSL n-gram size in one plan
 # over a materialized cached candidate set, on Restaurant. Scoring one
 # size per plan, with IDF joined to each KB's grams, took (29, 16) per
-# size, three plans per sweep.
-BSL_PLAN_BUDGET = (21, 12)
+# size, three plans per sweep; reading the weighted grams four times (both
+# join sides and two per-entity norm tables) took (21, 12).
+BSL_PLAN_BUDGET = (8, 4)
+# (Exchange, Sort) budget of the uncached B_N u purged B_T candidate plan
+# on Restaurant. Joining the purged keys to both token tables, so the
+# purged index was built twice, took (18, 8).
+CANDIDATES_PLAN_BUDGET = (14, 6)
 
 
 def test_bsl_plan_shape_within_budget(restaurant_pair):
@@ -217,3 +222,10 @@ def test_bsl_plan_shape_within_budget(restaurant_pair):
     shape = _plan_shape(bsl.pair_similarities(restaurant_pair, cands, *bsl.NGRAM_SIZES))
     cands.unpersist()
     assert shape[0] <= BSL_PLAN_BUDGET[0] and shape[1] <= BSL_PLAN_BUDGET[1], shape
+
+
+def test_candidates_plan_shape_within_budget(restaurant_pair):
+    """The candidate plan builds the purged token index once."""
+    shape = _plan_shape(bsl_candidates(restaurant_pair))
+    budget = CANDIDATES_PLAN_BUDGET
+    assert shape[0] <= budget[0] and shape[1] <= budget[1], shape

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.minoaner import MinoanERConfig, match
 from repro.eval.metrics import precision_recall_f1
-from repro.kb.schema import KB, KBPair, pair_from_rows
+from repro.kb.schema import pair_from_rows
 
 
 def test_config_defaults_match_paper():
@@ -188,26 +188,12 @@ MATCH_JOB_BUDGET = 50
 
 
 @pytest.fixture(scope="module")
-def restaurant_match_trace(spark, restaurant_pair):
+def restaurant_match_trace(fresh_restaurant, job_trace):
     """One match() on fresh KB objects over Restaurant's triples, run in
     its own job group: (its job ids, the persisted RDD ids before and
     after it)."""
-    p = restaurant_pair
-    pair = KBPair(p.name, KB(p.kb1.tag, p.kb1.triples), KB(p.kb2.tag, p.kb2.triples),
-                  p.ground_truth)
-    for kb in (pair.kb1, pair.kb2):
-        kb.n_entities()  # |E| is known before the jobs are counted
-    sc = spark.sparkContext
-    before = set(sc._jsc.getPersistentRDDs().keys())
-    sc.setJobGroup("test-match-jobs", "one match() on Restaurant")
-    try:
-        match(pair)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    after = set(sc._jsc.getPersistentRDDs().keys())
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    jobs = sc.statusTracker().getJobIdsForGroup("test-match-jobs")
+    pair = fresh_restaurant()
+    _, jobs, before, after = job_trace("test-match-jobs", lambda: match(pair))
     return jobs, before, after
 
 

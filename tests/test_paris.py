@@ -113,22 +113,13 @@ PARIS_JOB_BUDGET = 185
 
 
 @pytest.fixture(scope="module")
-def rel_pair_trace(spark):
+def rel_pair_trace(spark, job_trace):
     """One run_paris on _rel_pair, run in its own job group: (its matches,
     its job ids, the persisted RDD ids before and after it)."""
     pair = _rel_pair(spark)
-    sc = spark.sparkContext
-    before = set(sc._jsc.getPersistentRDDs().keys())
-    sc.setJobGroup("test-paris-jobs", "one run_paris on _rel_pair")
-    try:
-        got = {(r.e1, r.e2) for r in paris.run_paris(pair).collect()}
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    after = set(sc._jsc.getPersistentRDDs().keys())
-    sc._jsc.sc().listenerBus().waitUntilEmpty()
-    jobs = sc.statusTracker().getJobIdsForGroup("test-paris-jobs")
-    return got, jobs, before, after
+    return job_trace(
+        "test-paris-jobs", lambda: {(r.e1, r.e2) for r in paris.run_paris(pair).collect()}
+    )
 
 
 def test_propagation_finds_structural_match(rel_pair_trace):

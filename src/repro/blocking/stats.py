@@ -18,10 +18,15 @@ from repro.kb.schema import KBPair
 
 
 def block_quality(candidates: DataFrame, gt: DataFrame) -> dict:
-    """Pair-completeness / pair-quality of a candidate (e1, e2) set."""
-    n_cand = candidates.count()
+    """Pair-completeness / pair-quality of a candidate (e1, e2) set; the
+    candidates and the hits among them are counted by one left join."""
+    row = (
+        candidates.join(gt.withColumn("hit", F.lit(True)), ["e1", "e2"], "left")
+        .agg(F.count("*").alias("n"), F.count("hit").alias("hits"))
+        .first()
+    )
+    n_cand, hits = row["n"], row["hits"]
     n_gt = gt.count()
-    hits = candidates.join(gt, ["e1", "e2"]).count()
     precision = 100.0 * hits / n_cand if n_cand else 0.0
     recall = 100.0 * hits / n_gt if n_gt else 0.0
     f1 = (
@@ -53,19 +58,28 @@ def block_stats(
     pair: KBPair, *, k: int = 2,
     budget_factor: float = purging.DEFAULT_BUDGET_FACTOR,
 ) -> dict:
-    """Compute a full Table II column for one dataset."""
-    tokens = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    bt, threshold = purging.purged_token_blocks(pair, *tokens, budget_factor)
-    names = name_blocking.name_keys(pair, k)
-    bn = token_blocking.block_index(*names)
+    """Compute a full Table II column for one dataset.
+
+    The tokens, the token block index and the name keys are cached for
+    the call, as in ``match()``, and released before it returns.
+    """
+    tokens = entity_tokens(pair.kb1).cache(), entity_tokens(pair.kb2).cache()
+    index = token_blocking.block_index(*tokens).cache()
+    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
+    bt, threshold = purging.purge(index, cartesian, budget_factor)
+    names = tuple(df.cache() for df in name_blocking.name_keys(pair, k))
+    n_bn, c_bn = token_blocking.collection_size(token_blocking.block_index(*names))
+    n_bt, c_bt = token_blocking.collection_size(bt)
     q = block_quality(candidates(tokens, bt, names), pair.ground_truth)
+    for df in (index, *tokens, *names):
+        df.unpersist()
     return {
         "dataset": pair.name,
-        "|BN|": bn.count(),
-        "|BT|": bt.count(),
-        "||BN||": token_blocking.total_comparisons(bn),
-        "||BT||": token_blocking.total_comparisons(bt),
-        "|E1|*|E2|": pair.kb1.n_entities() * pair.kb2.n_entities(),
+        "|BN|": n_bn,
+        "|BT|": n_bt,
+        "||BN||": c_bn,
+        "||BT||": c_bt,
+        "|E1|*|E2|": cartesian,
         "purge_threshold": threshold,
         **q,
     }

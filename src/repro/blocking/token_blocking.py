@@ -23,10 +23,18 @@ def block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
     return c1.join(c2, "token").select(F.col("token").alias("key"), "n1", "n2")
 
 
+def collection_size(index: DataFrame) -> tuple[int, int]:
+    """(|B|, ||B||) — the number of blocks in the collection and their
+    aggregate number of cross-KB comparisons, from one aggregate."""
+    row = index.agg(
+        F.count("*").alias("blocks"), F.sum(F.col("n1") * F.col("n2")).alias("c")
+    ).first()
+    return row["blocks"], row["c"] or 0
+
+
 def total_comparisons(index: DataFrame) -> int:
     """||B|| — aggregate number of cross-KB comparisons in the collection."""
-    row = index.agg(F.sum(F.col("n1") * F.col("n2")).alias("c")).first()
-    return int(row["c"]) if row and row["c"] is not None else 0
+    return collection_size(index)[1]
 
 
 def candidate_pairs(

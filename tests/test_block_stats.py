@@ -57,3 +57,35 @@ def test_table2_recall_high_precision_low(restaurant_stats):
     assert restaurant_stats["recall"] >= 99.0
     assert restaurant_stats["precision"] < 20.0
     assert restaurant_stats["f1"] < 30.0
+
+
+# Spark jobs of one block_stats on Restaurant with |E| and the predicate
+# statistics known. Building the token index, the tokens and the name keys
+# once per reader, counting and summing each collection in two jobs and
+# the candidates and hits in two more took 71; caching them for the call
+# and one aggregate per count take 30.
+BLOCK_STATS_JOB_BUDGET = 32
+
+
+@pytest.fixture(scope="module")
+def block_stats_trace(fresh_restaurant, job_trace):
+    """One block_stats on fresh KB objects over Restaurant's triples, run in
+    its own job group: (its column, its job ids, the persisted RDD ids
+    before and after it)."""
+    pair = fresh_restaurant()
+    for kb in (pair.kb1, pair.kb2):
+        kb.predicate_stats
+    return job_trace("test-block-stats-jobs", lambda: block_stats(pair))
+
+
+def test_block_stats_job_budget(block_stats_trace):
+    _, jobs, _, _ = block_stats_trace
+    assert len(jobs) <= BLOCK_STATS_JOB_BUDGET, len(jobs)
+
+
+def test_block_stats_releases_its_caches(block_stats_trace, restaurant_stats):
+    """Every DataFrame block_stats caches is unpersisted before it returns,
+    and the traced column equals the shared one."""
+    stats, _, before, after = block_stats_trace
+    assert after == before
+    assert stats == restaurant_stats

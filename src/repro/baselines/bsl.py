@@ -13,14 +13,17 @@ F1 is maximized over 420 configurations per dataset:
 factorization matching the paper's count; DESIGN.md §6.)
 
 All 7 similarity families for all 3 n-gram sizes are computed in a
-single Spark pass over one candidate plan: the grams carry their size
-``n``, one pair-gram join is aggregated per (n, e1, e2) into sufficient
-statistics (|common|, dot products, Sum-min, Sum-(w1+w2) per weighting)
-and combined with per-(entity, n) norms. ``run_bsl`` collects that once
-and splits it by n on the driver. The threshold sweep then reuses one
-UMC frontier per scored config (see :mod:`repro.baselines.umc`). Pairs
-with zero similarity are never fed to UMC — accepting a 0-similarity
-pair is meaningless even at threshold 0.
+single Spark pass over one candidate plan. The grams carry their size
+``n``, and one table holds both KBs' weighted grams with each document's
+per-(entity, n) gram count, weight sums and norms as window columns.
+Each candidate's two ends join that table once; the grams both ends
+share are aggregated per (n, e1, e2) into sufficient statistics
+(|common|, dot products, Sum-min, Sum-(w1+w2) per weighting) beside the
+two documents' norms. ``run_bsl`` collects that once and splits it by n
+on the driver. The threshold sweep then reuses one UMC frontier per
+scored config (see :mod:`repro.baselines.umc`). Pairs with zero
+similarity are never fed to UMC — accepting a 0-similarity pair is
+meaningless even at threshold 0.
 """
 from __future__ import annotations
 

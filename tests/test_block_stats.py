@@ -74,7 +74,7 @@ def block_stats_trace(fresh_restaurant, job_trace):
     before and after it)."""
     pair = fresh_restaurant()
     for kb in (pair.kb1, pair.kb2):
-        kb.predicate_stats
+        kb.predicate_stats  # known before the jobs are counted, as |E| is
     return job_trace("test-block-stats-jobs", lambda: block_stats(pair))
 
 

@@ -227,5 +227,4 @@ def test_bsl_plan_shape_within_budget(restaurant_pair):
 def test_candidates_plan_shape_within_budget(restaurant_pair):
     """The candidate plan builds the purged token index once."""
     shape = _plan_shape(bsl_candidates(restaurant_pair))
-    budget = CANDIDATES_PLAN_BUDGET
-    assert shape[0] <= budget[0] and shape[1] <= budget[1], shape
+    assert shape[0] <= CANDIDATES_PLAN_BUDGET[0] and shape[1] <= CANDIDATES_PLAN_BUDGET[1], shape

@@ -28,9 +28,6 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking.token_blocking import block_index
-from repro.kb.schema import KBPair
-
 DEFAULT_BUDGET_FACTOR = 0.01
 # Purging removes *excessively large* blocks; on tiny inputs (tests, toy
 # KBs) nothing is excessive and a 1%-of-Cartesian budget would be a
@@ -82,14 +79,3 @@ def purge(
     t = purge_threshold(index, cartesian, budget_factor, min_budget)
     return index.filter(F.col("n1") * F.col("n2") <= t), t
 
-
-def purged_token_blocks(
-    pair: KBPair,
-    tokens1: DataFrame,
-    tokens2: DataFrame,
-    budget_factor: float = DEFAULT_BUDGET_FACTOR,
-) -> tuple[DataFrame, int]:
-    """Purged B_T of ``pair`` from its (eid, token) DataFrames: (kept block
-    index, threshold), with the budget a share of |E1|·|E2|."""
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    return purge(block_index(tokens1, tokens2), cartesian, budget_factor)

@@ -1,4 +1,5 @@
-"""Block statistics — reproduces Table II rows.
+"""The one blocking of a KB pair, which ``match()``, the BSL candidates
+and :func:`block_stats` read, and its block statistics (Table II).
 
 |B_N|, |B_T|  : number of cross-KB blocks in each collection
 ||B_N||, ||B_T||: aggregate comparisons (sum over blocks of n1*n2)
@@ -9,12 +10,59 @@ P / R / F1    : quality of the *distinct* candidate pairs of B_N u B_T
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking, purging, token_blocking
+from repro.blocking import name_blocking, purging
+from repro.blocking.token_blocking import block_index, candidate_pairs, collection_size
 from repro.blocking.tokenize import entity_tokens
 from repro.kb.schema import KBPair
+
+
+@dataclass(frozen=True)
+class Blocking:
+    """The per-KB (eid, token) ``tokens`` and ``names`` (name keys) of a
+    pair, its (key, n1, n2) token block ``index`` B_T and the ``kept``
+    blocks of B_T, of at most ``threshold`` comparisons each, with the
+    purging budget a share of ``cartesian`` = |E1|·|E2|."""
+
+    tokens: tuple[DataFrame, DataFrame]
+    index: DataFrame
+    kept: DataFrame
+    threshold: int
+    names: tuple[DataFrame, DataFrame]
+    cartesian: int
+
+    def candidates(self) -> DataFrame:
+        """(e1, e2) — the distinct candidate pairs of B_N u purged B_T."""
+        return (
+            candidate_pairs(*self.tokens, self.kept.select("key"))
+            .unionByName(candidate_pairs(*self.names))
+            .distinct()
+        )
+
+
+@contextmanager
+def block_pair(
+    pair: KBPair, k: int = 2, budget_factor: float = purging.DEFAULT_BUDGET_FACTOR
+) -> Iterator[Blocking]:
+    """The :class:`Blocking` of ``pair`` inside a ``with`` block. The tokens
+    and the token index, which every reader reads twice, are cached until
+    the block exits, even if it raises; the name keys are not cached."""
+    tokens = entity_tokens(pair.kb1).cache(), entity_tokens(pair.kb2).cache()
+    index = block_index(*tokens).cache()
+    try:
+        cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
+        kept, threshold = purging.purge(index, cartesian, budget_factor)
+        names = name_blocking.name_keys(pair, k)
+        yield Blocking(tokens, index, kept, threshold, names, cartesian)
+    finally:
+        for df in (index, *tokens):
+            df.unpersist()
 
 
 def block_quality(candidates: DataFrame, gt: DataFrame) -> dict:
@@ -37,49 +85,22 @@ def block_quality(candidates: DataFrame, gt: DataFrame) -> dict:
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def candidates(
-    tokens: tuple[DataFrame, DataFrame],
-    kept: DataFrame,
-    names: tuple[DataFrame, DataFrame],
-) -> DataFrame:
-    """(e1, e2) — the distinct candidate pairs of B_N u purged B_T.
-
-    ``tokens`` and ``names`` are the pair's per-KB (eid, token) token and
-    name-key DataFrames; ``kept`` is the purged B_T index.
-    """
-    return (
-        token_blocking.candidate_pairs(*tokens, kept.select("key"))
-        .unionByName(token_blocking.candidate_pairs(*names))
-        .distinct()
-    )
-
-
 def block_stats(
     pair: KBPair, *, k: int = 2,
     budget_factor: float = purging.DEFAULT_BUDGET_FACTOR,
 ) -> dict:
-    """Compute a full Table II column for one dataset.
-
-    The tokens, the token block index and the name keys are cached for
-    the call, as in ``match()``, and released before it returns.
-    """
-    tokens = entity_tokens(pair.kb1).cache(), entity_tokens(pair.kb2).cache()
-    index = token_blocking.block_index(*tokens).cache()
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, threshold = purging.purge(index, cartesian, budget_factor)
-    names = tuple(df.cache() for df in name_blocking.name_keys(pair, k))
-    n_bn, c_bn = token_blocking.collection_size(token_blocking.block_index(*names))
-    n_bt, c_bt = token_blocking.collection_size(bt)
-    q = block_quality(candidates(tokens, bt, names), pair.ground_truth)
-    for df in (index, *tokens, *names):
-        df.unpersist()
+    """Compute a full Table II column for one dataset."""
+    with block_pair(pair, k, budget_factor) as b:
+        n_bn, c_bn = collection_size(block_index(*b.names))
+        n_bt, c_bt = collection_size(b.kept)
+        q = block_quality(b.candidates(), pair.ground_truth)
     return {
         "dataset": pair.name,
         "|BN|": n_bn,
         "|BT|": n_bt,
         "||BN||": c_bn,
         "||BT||": c_bt,
-        "|E1|*|E2|": cartesian,
-        "purge_threshold": threshold,
+        "|E1|*|E2|": b.cartesian,
+        "purge_threshold": b.threshold,
         **q,
     }

@@ -32,11 +32,6 @@ def collection_size(index: DataFrame) -> tuple[int, int]:
     return row["blocks"], row["c"] or 0
 
 
-def total_comparisons(index: DataFrame) -> int:
-    """||B|| — aggregate number of cross-KB comparisons in the collection."""
-    return collection_size(index)[1]
-
-
 def candidate_pairs(
     tokens1: DataFrame, tokens2: DataFrame, keys: DataFrame | None = None
 ) -> DataFrame:

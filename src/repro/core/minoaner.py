@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.blocking import name_blocking, purging, token_blocking
-from repro.blocking.tokenize import entity_tokens
+from repro.blocking import name_blocking, purging
+from repro.blocking.stats import block_pair
 from repro.core import heuristics, relations, value_sim
 from repro.kb.schema import KBPair
 
@@ -39,37 +39,33 @@ class MinoanERResult:
 
 def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResult:
     """Run the full non-iterative matching process on a KB pair."""
-    t1 = entity_tokens(pair.kb1).cache()
-    t2 = entity_tokens(pair.kb2).cache()
-    index = token_blocking.block_index(t1, t2).cache()
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, _ = purging.purge(index, cartesian, cfg.budget_factor)
-    vsims = value_sim.value_similarities(t1, t2, bt).cache()
-    nbrs1 = relations.top_neighbors(pair.kb1, cfg.N)
-    nbrs2 = relations.top_neighbors(pair.kb2, cfg.N)
-    nsims = heuristics.neighbor_similarities(vsims, nbrs1, nbrs2).cache()
+    with block_pair(pair, cfg.k, cfg.budget_factor) as b:
+        vsims = value_sim.value_similarities(*b.tokens, b.kept).cache()
+        nbrs1 = relations.top_neighbors(pair.kb1, cfg.N)
+        nbrs2 = relations.top_neighbors(pair.kb2, cfg.N)
+        nsims = heuristics.neighbor_similarities(vsims, nbrs1, nbrs2).cache()
 
-    nk = name_blocking.name_keys(pair, cfg.k)
-    nk = (nk[0].cache(), nk[1].cache())
-    h1 = (
-        name_blocking.h1_matches(pair, cfg.k, nk)
-        .withColumn("heuristic", F.lit("H1"))
-        .cache()
-    )
-    h2 = (
-        heuristics.h2_matches(vsims, h1).withColumn("heuristic", F.lit("H2")).cache()
-    )
-    matched_12 = h1.select("e1", "e2").unionByName(h2.select("e1", "e2"))
-    h3 = heuristics.h3_matches(vsims, nsims, matched_12, cfg.theta).withColumn(
-        "heuristic", F.lit("H3")
-    )
+        h1 = (
+            name_blocking.h1_matches(pair, cfg.k, b.names)
+            .withColumn("heuristic", F.lit("H1"))
+            .cache()
+        )
+        h2 = (
+            heuristics.h2_matches(vsims, h1).withColumn("heuristic", F.lit("H2")).cache()
+        )
+        matched_12 = h1.select("e1", "e2").unionByName(h2.select("e1", "e2"))
+        h3 = heuristics.h3_matches(vsims, nsims, matched_12, cfg.theta).withColumn(
+            "heuristic", F.lit("H3")
+        )
 
-    disjunction = h1.unionByName(h2).unionByName(h3)
-    final = heuristics.h4_filter(disjunction, vsims, nsims, cfg.K)
+        disjunction = h1.unionByName(h2).unionByName(h3)
+        final = heuristics.h4_filter(disjunction, vsims, nsims, cfg.K)
 
-    # Materialize on the driver: results are small (O(|E1|) rows) and this
-    # lets the heavy cached intermediates be released deterministically.
-    rows = final.collect()
+        # Materialize on the driver: results are small (O(|E1|) rows) and this
+        # lets the heavy cached intermediates be released deterministically.
+        rows = final.collect()
+        for df in (vsims, nsims, h1, h2):
+            df.unpersist()
     counts = {
         "H1": sum(r["heuristic"] == "H1" for r in rows),
         "H2": sum(r["heuristic"] == "H2" for r in rows),
@@ -81,6 +77,4 @@ def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResul
         [(r["e1"], r["e2"], r["heuristic"]) for r in rows],
         schema="e1 long, e2 long, heuristic string",
     )
-    for df in (vsims, nsims, index, t1, t2, h1, h2, *nk):
-        df.unpersist()
     return MinoanERResult(matches=out, counts=counts)

@@ -15,9 +15,7 @@ from pyspark.sql import SparkSession
 
 from repro.baselines.bsl import run_bsl
 from repro.baselines.paris import run_paris
-from repro.blocking import name_blocking, purging
-from repro.blocking.stats import block_stats, candidates
-from repro.blocking.tokenize import entity_tokens
+from repro.blocking.stats import block_pair, block_stats
 from repro.core.minoaner import MinoanERConfig, MinoanERResult, match
 from repro.eval.metrics import precision_recall_f1
 from repro.kb.datasets import DATASET_ORDER, load
@@ -108,10 +106,13 @@ def table2(
 
 
 def bsl_candidates(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()):
-    """The BSL input: distinct candidate pairs of B_N u B_T (purged)."""
-    tokens = entity_tokens(pair.kb1), entity_tokens(pair.kb2)
-    bt, _ = purging.purged_token_blocks(pair, *tokens, cfg.budget_factor)
-    return candidates(tokens, bt, name_blocking.name_keys(pair, cfg.k))
+    """The BSL input: distinct candidate pairs of B_N u B_T (purged),
+    collected before the blocking's caches are released (fewer rows than
+    the similarities ``run_bsl`` collects from them)."""
+    with block_pair(pair, cfg.k, cfg.budget_factor) as b:
+        rows = b.candidates().toPandas()
+    spark = pair.kb1.triples.sparkSession
+    return spark.createDataFrame(rows, schema="e1 long, e2 long")
 
 
 def evaluate_dataset(

@@ -16,8 +16,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines import bsl
-from repro.blocking import name_blocking, purging, token_blocking
-from repro.blocking.tokenize import entity_tokens
+from repro.blocking import name_blocking
+from repro.blocking.stats import block_pair
 from repro.core import heuristics, relations, value_sim
 from repro.core.minoaner import MinoanERConfig
 from repro.eval.tables import bsl_candidates
@@ -99,28 +99,24 @@ def stages(request):
     """The cached inputs of H2-H4 for one pair, built as ``match()`` does,
     and the plan shapes of H1 and valueSim over their own cached inputs."""
     pair = request.getfixturevalue(request.param)
-    t1 = entity_tokens(pair.kb1).cache()
-    t2 = entity_tokens(pair.kb2).cache()
-    index = token_blocking.block_index(t1, t2).cache()
-    cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-    bt, _ = purging.purge(index, cartesian, CFG.budget_factor)
-    nk = tuple(df.cache() for df in name_blocking.name_keys(pair, CFG.k))
-    for df in nk:
-        df.count()  # a materialized cache may tell the planner its partitioning
-    vsims = value_sim.value_similarities(t1, t2, bt)
-    h1 = name_blocking.h1_matches(pair, CFG.k, nk)
-    shapes = {"h1": _plan_shape(h1), "value_sim": _plan_shape(vsims)}
-    vsims, h1 = vsims.cache(), h1.cache()
-    nsims = heuristics.neighbor_similarities(
-        vsims,
-        relations.top_neighbors(pair.kb1, CFG.N),
-        relations.top_neighbors(pair.kb2, CFG.N),
-    ).cache()
-    for df in (vsims, nsims, h1):
-        df.count()
-    yield pair, vsims, nsims, h1, shapes
-    for df in (vsims, nsims, h1, index, t1, t2, *nk):
-        df.unpersist()
+    with block_pair(pair, CFG.k, CFG.budget_factor) as b:
+        nk = tuple(df.cache() for df in b.names)
+        for df in nk:
+            df.count()  # a materialized cache may tell the planner its partitioning
+        vsims = value_sim.value_similarities(*b.tokens, b.kept)
+        h1 = name_blocking.h1_matches(pair, CFG.k, nk)
+        shapes = {"h1": _plan_shape(h1), "value_sim": _plan_shape(vsims)}
+        vsims, h1 = vsims.cache(), h1.cache()
+        nsims = heuristics.neighbor_similarities(
+            vsims,
+            relations.top_neighbors(pair.kb1, CFG.N),
+            relations.top_neighbors(pair.kb2, CFG.N),
+        ).cache()
+        for df in (vsims, nsims, h1):
+            df.count()
+        yield pair, vsims, nsims, h1, shapes
+        for df in (vsims, nsims, h1, *nk):
+            df.unpersist()
 
 
 def _h1_h2_h3(vsims, nsims, h1):
@@ -208,10 +204,11 @@ def test_plan_shape_within_budget(stages):
 # size, three plans per sweep; reading the weighted grams four times (both
 # join sides and two per-entity norm tables) took (21, 12).
 BSL_PLAN_BUDGET = (8, 4)
-# (Exchange, Sort) budget of the uncached B_N u purged B_T candidate plan
-# on Restaurant. Joining the purged keys to both token tables, so the
-# purged index was built twice, took (18, 8).
-CANDIDATES_PLAN_BUDGET = (14, 6)
+# (Exchange, Sort) budget of the B_N u purged B_T candidate plan over the
+# tokens and token index the blocking cached, on Restaurant. Uncached, it
+# took (18, 8) when the purged keys were joined to both token tables, so
+# the purged index was built twice, and (14, 6) when joined to one.
+CANDIDATES_PLAN_BUDGET = (8, 4)
 
 
 def test_bsl_plan_shape_within_budget(restaurant_pair):
@@ -225,6 +222,7 @@ def test_bsl_plan_shape_within_budget(restaurant_pair):
 
 
 def test_candidates_plan_shape_within_budget(restaurant_pair):
-    """The candidate plan builds the purged token index once."""
-    shape = _plan_shape(bsl_candidates(restaurant_pair))
+    """The candidate plan reads the token index the blocking cached."""
+    with block_pair(restaurant_pair, CFG.k, CFG.budget_factor) as b:
+        shape = _plan_shape(b.candidates())
     assert shape[0] <= CANDIDATES_PLAN_BUDGET[0] and shape[1] <= CANDIDATES_PLAN_BUDGET[1], shape

@@ -26,13 +26,13 @@ def test_total_comparisons(toy_tokens):
     t1, t2 = toy_tokens
     idx = token_blocking.block_index(t1, t2)
     expected = sum(r.n1 * r.n2 for r in idx.collect())
-    assert token_blocking.total_comparisons(idx) == expected
+    assert token_blocking.collection_size(idx)[1] == expected
     assert expected > 0
 
 
 def test_total_comparisons_empty(spark):
     empty = spark.createDataFrame([], "key string, n1 long, n2 long")
-    assert token_blocking.total_comparisons(empty) == 0
+    assert token_blocking.collection_size(empty)[1] == 0
 
 
 def test_candidate_pairs_distinct(toy_tokens):
@@ -75,7 +75,7 @@ def test_comparisons_equal_pairwise_join_size(toy_tokens):
         .join(t2.select(F.col("eid").alias("e2"), "token"), "token")
         .count()
     )
-    assert token_blocking.total_comparisons(idx) == joined
+    assert token_blocking.collection_size(idx)[1] == joined
 
 
 def test_preset_blocking_recall(restaurant_pair):

@@ -8,7 +8,7 @@ import math
 import pytest
 from pyspark.sql import functions as F
 
-from repro.blocking import purging
+from repro.blocking.stats import block_pair
 from repro.blocking.token_blocking import block_index
 from repro.blocking.tokenize import entity_tokens
 from repro.core.value_sim import value_similarities
@@ -111,15 +111,14 @@ def test_value_sim_vs_oracle_purged(restaurant_pair):
     """With the kept keys of Block Purging on Restaurant, where purging
     cuts blocks: EF stays the pre-purge block size, the sum runs over kept
     blocks only."""
-    t1 = entity_tokens(restaurant_pair.kb1)
-    t2 = entity_tokens(restaurant_pair.kb2)
-    bt, _ = purging.purged_token_blocks(restaurant_pair, t1, t2)
-    kept = bt.select("key")
-    assert kept.count() < block_index(t1, t2).count()
-    vs = value_similarities(t1, t2, kept)
-    assert_equivalent(
-        vs, _ORACLE_SQL, t1=t1.toPandas(), t2=t2.toPandas(), kept=kept.toPandas()
-    )
+    with block_pair(restaurant_pair) as b:
+        t1, t2 = b.tokens
+        kept = b.kept.select("key")
+        assert kept.count() < b.index.count()
+        vs = value_similarities(t1, t2, kept)
+        assert_equivalent(
+            vs, _ORACLE_SQL, t1=t1.toPandas(), t2=t2.toPandas(), kept=kept.toPandas()
+        )
 
 
 def test_rare_token_anchors_h2_semantics(rexa_pair):

@@ -5,24 +5,22 @@ paper-reported only (DESIGN.md §3); their numbers are printed from
 
     python jobs/table3_evaluation.py [dataset ...] [--methods M1,M2]
 """
-import sys
+import argparse
 
-from repro.eval.tables import format_side_by_side, table3
+from repro.eval.tables import METHODS, format_side_by_side, table3
 from repro.session import get_spark
 
 
 def main(argv=None) -> None:
-    argv = argv if argv is not None else sys.argv[1:]
-    methods = ("MinoanER", "BSL", "PARIS")
-    datasets = []
-    it = iter(argv)
-    for a in it:
-        if a == "--methods":
-            methods = tuple(next(it).split(","))
-        else:
-            datasets.append(a)
+    parser = argparse.ArgumentParser(description="Reproduce Table III.")
+    parser.add_argument("datasets", nargs="*", help="presets (default: all four)")
+    parser.add_argument(
+        "--methods", default=",".join(METHODS),
+        help=f"comma-separated subset of {','.join(METHODS)}",
+    )
+    args = parser.parse_args(argv)
     spark = get_spark("table3")
-    df = table3(spark, datasets=datasets or None, methods=methods)
+    df = table3(spark, datasets=args.datasets or None, methods=tuple(args.methods.split(",")))
     print(format_side_by_side(df, "Table III"))
 
 

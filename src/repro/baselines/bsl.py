@@ -34,6 +34,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.umc import umc_frontier
 from repro.blocking.tokenize import entity_ngrams
+from repro.eval.metrics import gt_sets, on_gt_e1, prf
 from repro.kb.schema import KBPair
 
 MEASURES = [
@@ -46,8 +47,9 @@ THRESHOLDS = [round(0.05 * i, 2) for i in range(20)]  # 0.00 .. 0.95
 NGRAM_SIZES = (1, 2, 3)
 # Similarities are rounded to this many decimals before any comparison, so
 # float noise from summation order (which follows the plan and the shuffle
-# partitioning) cannot decide a threshold boundary or a UMC tie; ties then
-# fall to UMC's (e1, e2) tie-break.
+# partitioning) mostly cannot decide a threshold or a UMC tie (ties fall to
+# UMC's (e1, e2) tie-break). A value within that noise of a 12-decimal
+# boundary still moves by 1e-12 with the order, as on BBCmusic and YAGO.
 SIM_DECIMALS = 12
 
 
@@ -161,23 +163,16 @@ def _sweep(
     frontier: list[tuple], gt_pairs: set, gt_e1: set, n: int, measure: str
 ) -> list[BSLOutcome]:
     """Evaluate every threshold against one UMC frontier (prefix property)."""
-    n_gt = len(gt_pairs)
     out = []
     for t in THRESHOLDS:
-        kept = [(e1, e2) for e1, e2, s in frontier if s >= t and e1 in gt_e1]
-        tp = sum(1 for p in kept if p in gt_pairs)
-        p = 100.0 * tp / len(kept) if kept else 0.0
-        r = 100.0 * tp / n_gt if n_gt else 0.0
-        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        out.append(BSLOutcome(n, measure, t, p, r, f1))
+        tp, n_out = on_gt_e1(((e1, e2) for e1, e2, s in frontier if s >= t), gt_pairs, gt_e1)
+        out.append(BSLOutcome(n, measure, t, *prf(tp, n_out, len(gt_pairs))))
     return out
 
 
 def run_bsl(pair: KBPair, candidates: DataFrame) -> tuple[BSLOutcome, list[BSLOutcome]]:
     """Run the full 420-configuration sweep; return (best, all outcomes)."""
-    gt_rows = pair.ground_truth.collect()
-    gt_pairs = {(r["e1"], r["e2"]) for r in gt_rows}
-    gt_e1 = {r["e1"] for r in gt_rows}
+    gt_pairs, gt_e1 = gt_sets(pair.ground_truth)
 
     sims = pair_similarities(pair, candidates, *NGRAM_SIZES).collect()
     all_outcomes: list[BSLOutcome] = []

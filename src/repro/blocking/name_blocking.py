@@ -37,11 +37,9 @@ def _single_owner(keys: DataFrame, eid: str) -> DataFrame:
 def h1_matches(
     pair: KBPair, k: int = 2, keys: tuple[DataFrame, DataFrame] | None = None
 ) -> DataFrame:
-    """(e1, e2) pairs from name blocks with exactly one entity per KB.
-
-    ``keys`` allows a caller that already computed (and cached) the name
-    keys to avoid re-deriving them.
-    """
+    """(e1, e2) pairs from name blocks with exactly one entity per KB;
+    ``keys`` are name keys the caller has built (``match()`` passes its
+    blocking's, uncached), else they are derived here."""
     n1, n2 = keys if keys is not None else name_keys(pair, k)
     return (
         _single_owner(n1, "e1")

@@ -20,6 +20,7 @@ from pyspark.sql import functions as F
 from repro.blocking import name_blocking, purging
 from repro.blocking.token_blocking import block_index, candidate_pairs, collection_size
 from repro.blocking.tokenize import entity_tokens
+from repro.eval.metrics import prf
 from repro.kb.schema import KBPair
 
 
@@ -44,6 +45,11 @@ class Blocking:
             .unionByName(candidate_pairs(*self.names))
             .distinct()
         )
+
+    def collected_candidates(self) -> DataFrame:
+        """:meth:`candidates`, collected into a DataFrame that outlives the block."""
+        rows = self.candidates().toPandas()
+        return self.kept.sparkSession.createDataFrame(rows, schema="e1 long, e2 long")
 
 
 @contextmanager
@@ -73,24 +79,13 @@ def block_quality(candidates: DataFrame, gt: DataFrame) -> dict:
         .agg(F.count("*").alias("n"), F.count("hit").alias("hits"))
         .first()
     )
-    n_cand, hits = row["n"], row["hits"]
-    n_gt = gt.count()
-    precision = 100.0 * hits / n_cand if n_cand else 0.0
-    recall = 100.0 * hits / n_gt if n_gt else 0.0
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else 0.0
-    )
-    return {"precision": precision, "recall": recall, "f1": f1}
+    p, r, f1 = prf(row["hits"], row["n"], gt.count())
+    return {"precision": p, "recall": r, "f1": f1}
 
 
-def block_stats(
-    pair: KBPair, *, k: int = 2,
-    budget_factor: float = purging.DEFAULT_BUDGET_FACTOR,
-) -> dict:
+def block_stats(pair: KBPair) -> dict:
     """Compute a full Table II column for one dataset."""
-    with block_pair(pair, k, budget_factor) as b:
+    with block_pair(pair) as b:
         n_bn, c_bn = collection_size(block_index(*b.names))
         n_bt, c_bt = collection_size(b.kept)
         q = block_quality(b.candidates(), pair.ground_truth)

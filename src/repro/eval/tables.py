@@ -11,12 +11,12 @@ publications rather than running those systems (DESIGN.md §3).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.baselines.bsl import run_bsl
 from repro.baselines.paris import run_paris
 from repro.blocking.stats import block_pair, block_stats
-from repro.core.minoaner import MinoanERConfig, MinoanERResult, match
+from repro.core.minoaner import MinoanERConfig, resolve
 from repro.eval.metrics import precision_recall_f1
 from repro.kb.datasets import DATASET_ORDER, load
 from repro.kb.schema import KBPair
@@ -79,12 +79,13 @@ PAPER_TABLE3 = {
 
 # -------------------------------------------------------------- experiments
 
+METHODS = ("MinoanER", "BSL", "PARIS")  # the Table III rows run locally
+
 
 def _load_all(
     spark: SparkSession, scale: float, seed: int, datasets: list[str] | None
 ) -> dict[str, KBPair]:
-    names = datasets or DATASET_ORDER
-    return {n: load(spark, n, scale=scale, seed=seed) for n in names}
+    return {n: load(spark, n, scale=scale, seed=seed) for n in datasets or DATASET_ORDER}
 
 
 def table1(
@@ -105,31 +106,30 @@ def table2(
     return pd.DataFrame(rows)
 
 
-def bsl_candidates(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()):
-    """The BSL input: distinct candidate pairs of B_N u B_T (purged),
-    collected before the blocking's caches are released (fewer rows than
-    the similarities ``run_bsl`` collects from them)."""
+def bsl_candidates(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> DataFrame:
+    """The BSL input: the collected candidates of a blocking of its own
+    (fewer rows than the similarities ``run_bsl`` collects from them)."""
     with block_pair(pair, cfg.k, cfg.budget_factor) as b:
-        rows = b.candidates().toPandas()
-    spark = pair.kb1.triples.sparkSession
-    return spark.createDataFrame(rows, schema="e1 long, e2 long")
+        return b.collected_candidates()
 
 
-def evaluate_dataset(
-    pair: KBPair,
-    cfg: MinoanERConfig = MinoanERConfig(),
-    methods: tuple[str, ...] = ("MinoanER", "BSL", "PARIS"),
-) -> dict[str, dict]:
-    """P/R/F1 of every locally-run method on one dataset (Table III cell)."""
+def evaluate_dataset(pair: KBPair, methods: tuple[str, ...] = METHODS) -> dict[str, dict]:
+    """P/R/F1 of every locally-run method on one dataset (Table III cell).
+    MinoanER and BSL read one blocking, as in the paper."""
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown methods {unknown}; known: {', '.join(METHODS)}")
+    cfg = MinoanERConfig()
     out: dict[str, dict] = {}
-    if "MinoanER" in methods:
-        res: MinoanERResult = match(pair, cfg)
-        out["MinoanER"] = {
-            **precision_recall_f1(res.matches, pair.ground_truth),
-            "counts": res.counts,
-        }
+    if {"MinoanER", "BSL"} & set(methods):
+        with block_pair(pair, cfg.k, cfg.budget_factor) as b:
+            if "MinoanER" in methods:
+                res = resolve(pair, b, cfg)
+                m = precision_recall_f1(res.matches, pair.ground_truth)
+                out["MinoanER"] = {**m, "counts": res.counts}
+            if "BSL" in methods:
+                candidates = b.collected_candidates()
     if "BSL" in methods:
-        best, _ = run_bsl(pair, bsl_candidates(pair, cfg))
+        best, _ = run_bsl(pair, candidates)
         out["BSL"] = {
             "precision": best.precision, "recall": best.recall, "f1": best.f1,
             "config": f"n={best.n} {best.measure} t={best.threshold}",
@@ -141,13 +141,12 @@ def evaluate_dataset(
 
 def table3(
     spark: SparkSession, *, scale: float = 1.0, seed: int = 42,
-    datasets: list[str] | None = None,
-    methods: tuple[str, ...] = ("MinoanER", "BSL", "PARIS"),
+    datasets: list[str] | None = None, methods: tuple[str, ...] = METHODS,
 ) -> pd.DataFrame:
     """Matching quality of the locally-run methods (Table III)."""
     rows = []
     for name, pair in _load_all(spark, scale, seed, datasets).items():
-        for method, m in evaluate_dataset(pair, methods=methods).items():
+        for method, m in evaluate_dataset(pair, methods).items():
             rows.append(
                 {"dataset": name, "method": method,
                  "precision": round(m["precision"], 2),

@@ -6,6 +6,7 @@ harness plumbing is exercised on the smallest dataset.
 import pandas as pd
 import pytest
 
+from jobs import table3_evaluation
 from repro.eval import tables
 
 
@@ -47,11 +48,55 @@ def test_table3_harness_minoaner_only(spark):
     assert row["f1"] >= 97.0
 
 
-def test_evaluate_dataset_all_methods(restaurant_pair):
-    out = tables.evaluate_dataset(restaurant_pair, methods=("MinoanER", "PARIS"))
-    assert set(out) == {"MinoanER", "PARIS"}
+# Spark jobs of one evaluate_dataset with all three methods on Restaurant,
+# with |E| known and the predicate statistics not yet computed. Blocking
+# once for MinoanER and again for BSL, and scoring MinoanER and PARIS with
+# Spark plans, took 266-269; one blocking for both and scoring on the
+# driver take 232-234. PARIS's own count varies by a few between runs,
+# hence two jobs over the largest count measured.
+EVALUATE_JOB_BUDGET = 236
+
+
+@pytest.fixture(scope="module")
+def evaluate_trace(fresh_restaurant, job_trace):
+    """One evaluate_dataset with every method on fresh KB objects over
+    Restaurant's triples, run in its own job group: (its result, its job
+    ids, the persisted RDD ids before and after it)."""
+    pair = fresh_restaurant()
+    return job_trace("test-evaluate-jobs", lambda: tables.evaluate_dataset(pair))
+
+
+def test_evaluate_dataset_all_methods(evaluate_trace):
+    out, _, _, _ = evaluate_trace
+    assert list(out) == ["MinoanER", "BSL", "PARIS"]
     assert out["MinoanER"]["f1"] >= 97.0
+    assert out["BSL"]["f1"] >= 99.0
     assert out["PARIS"]["f1"] >= 80.0
+
+
+def test_evaluate_dataset_job_budget(evaluate_trace):
+    _, jobs, _, _ = evaluate_trace
+    assert len(jobs) <= EVALUATE_JOB_BUDGET, len(jobs)
+
+
+def test_evaluate_dataset_releases_its_caches(evaluate_trace):
+    """The shared blocking and every cache of the methods are released."""
+    _, _, before, after = evaluate_trace
+    assert after == before
+
+
+def test_table3_job_rejects_unknown_method(spark):
+    """An unknown method name raises instead of printing an empty table."""
+    with pytest.raises(ValueError, match="Minoaner.*known: MinoanER, BSL, PARIS"):
+        table3_evaluation.main(["restaurant", "--methods", "Minoaner"])
+
+
+def test_table3_job_usage_on_missing_value(capsys):
+    """A trailing --methods without a value exits with a usage message."""
+    with pytest.raises(SystemExit) as exc:
+        table3_evaluation.main(["restaurant", "--methods"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_format_side_by_side(spark):

@@ -21,7 +21,7 @@ from repro.blocking import name_blocking, purging
 from repro.blocking.token_blocking import block_index, candidate_pairs, collection_size
 from repro.blocking.tokenize import entity_tokens
 from repro.eval.metrics import prf
-from repro.kb.schema import KBPair
+from repro.kb.schema import KBPair, count_predicates
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,16 @@ def block_pair(
 ) -> Iterator[Blocking]:
     """The :class:`Blocking` of ``pair`` inside a ``with`` block. The tokens
     and the token index, which every reader reads twice, are cached until
-    the block exits, even if it raises; the name keys are not cached."""
+    the block exits, even if it raises; the name keys are not cached. The
+    index is cached sorted by key, so the joins on it (valueSim, the
+    candidates) do not sort it again. Both KBs' predicate statistics, which
+    the name keys and the neighbors read, are counted in one pass."""
     tokens = entity_tokens(pair.kb1).cache(), entity_tokens(pair.kb2).cache()
-    index = block_index(*tokens).cache()
+    index = block_index(*tokens).sortWithinPartitions("key").cache()
     try:
         cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
         kept, threshold = purging.purge(index, cartesian, budget_factor)
+        count_predicates(pair.kb1, pair.kb2)
         names = name_blocking.name_keys(pair, k)
         yield Blocking(tokens, index, kept, threshold, names, cartesian)
     finally:

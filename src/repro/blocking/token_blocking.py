@@ -16,11 +16,21 @@ def block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
 
     ``tokens1``/``tokens2`` are (eid, token) DataFrames from
     :func:`repro.blocking.tokenize.entity_tokens` (or name keys from
-    name blocking — the index logic is shared).
+    name blocking — the index logic is shared). One aggregate over both
+    tables, tagged by side, counts each block's entities per KB.
     """
-    c1 = tokens1.groupBy("token").agg(F.count("*").alias("n1"))
-    c2 = tokens2.groupBy("token").agg(F.count("*").alias("n2"))
-    return c1.join(c2, "token").select(F.col("token").alias("key"), "n1", "n2")
+    tagged = tokens1.select("token", F.lit(1).alias("side")).unionByName(
+        tokens2.select("token", F.lit(2).alias("side"))
+    )
+    return (
+        tagged.groupBy("token")
+        .agg(
+            F.count_if(F.col("side") == 1).alias("n1"),
+            F.count_if(F.col("side") == 2).alias("n2"),
+        )
+        .filter("n1 > 0 AND n2 > 0")
+        .select(F.col("token").alias("key"), "n1", "n2")
+    )
 
 
 def collection_size(index: DataFrame) -> tuple[int, int]:

@@ -31,10 +31,17 @@ class MinoanERConfig:
 
 @dataclass
 class MinoanERResult:
-    """Final matches plus per-heuristic diagnostics."""
+    """Final matches plus per-heuristic diagnostics: ``counts`` of the
+    matches per heuristic and in ``total``, the pairs each heuristic
+    ``proposed`` and how many of those H4 ``rejected``."""
 
     matches: DataFrame                     # (e1, e2, heuristic)
     counts: dict[str, int] = field(default_factory=dict)
+    proposed: dict[str, int] = field(default_factory=dict)
+    rejected: dict[str, int] = field(default_factory=dict)
+
+
+HEURISTICS = ("H1", "H2", "H3")
 
 
 def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResult:
@@ -43,37 +50,47 @@ def match(pair: KBPair, cfg: MinoanERConfig = MinoanERConfig()) -> MinoanERResul
         return resolve(pair, b, cfg)
 
 
+def proposals(
+    vsims: DataFrame, nsims: DataFrame, h1: DataFrame, cfg: MinoanERConfig
+) -> DataFrame:
+    """(e1, e2, heuristic, ok) — every pair H1, H2 or H3 proposes, read
+    from one ranked candidate table, with H4's verdict ``ok``."""
+    open_e1 = ~F.col("e1_matched")
+    heuristic = (
+        F.when(F.col("matched"), "H1")
+        .when(open_e1 & F.col("h2"), "H2")
+        .when(open_e1 & F.col("h3"), "H3")
+    )
+    return (
+        heuristics.ranked_candidates(vsims, nsims, h1, cfg.theta, cfg.K)
+        .select("e1", "e2", heuristic.alias("heuristic"), "ok")
+        .filter(F.col("heuristic").isNotNull())
+    )
+
+
 def resolve(pair: KBPair, b: Blocking, cfg: MinoanERConfig) -> MinoanERResult:
     """Definition 1 over the open blocking ``b`` of ``pair``."""
     vsims = value_sim.value_similarities(*b.tokens, b.kept).cache()
-    nbrs1 = relations.top_neighbors(pair.kb1, cfg.N)
-    nbrs2 = relations.top_neighbors(pair.kb2, cfg.N)
-    nsims = heuristics.neighbor_similarities(vsims, nbrs1, nbrs2).cache()
-
-    h1 = (
-        name_blocking.h1_matches(pair, cfg.k, b.names)
-        .withColumn("heuristic", F.lit("H1"))
-        .cache()
+    nsims = heuristics.neighbor_similarities(
+        vsims,
+        relations.top_neighbors(pair.kb1, cfg.N),
+        relations.top_neighbors(pair.kb2, cfg.N),
     )
-    h2 = heuristics.h2_matches(vsims, h1).withColumn("heuristic", F.lit("H2")).cache()
-    matched_12 = h1.select("e1", "e2").unionByName(h2.select("e1", "e2"))
-    h3 = heuristics.h3_matches(vsims, nsims, matched_12, cfg.theta).withColumn(
-        "heuristic", F.lit("H3")
-    )
-
-    disjunction = h1.unionByName(h2).unionByName(h3)
-    final = heuristics.h4_filter(disjunction, vsims, nsims, cfg.K)
+    h1 = name_blocking.h1_matches(pair, cfg.k, b.names)
 
     # Materialize on the driver: results are small (O(|E1|) rows) and this
-    # lets the heavy cached intermediates be released deterministically.
-    rows = final.collect()
-    for df in (vsims, nsims, h1, h2):
-        df.unpersist()
-    counts = {h: sum(r["heuristic"] == h for r in rows) for h in ("H1", "H2", "H3")}
-    counts["total"] = len(rows)
+    # lets the cached valueSim be released deterministically.
+    rows = proposals(vsims, nsims, h1, cfg).collect()
+    vsims.unpersist()
+    kept = [(r["e1"], r["e2"], r["heuristic"]) for r in rows if r["ok"]]
+    counts = {h: sum(row[2] == h for row in kept) for h in HEURISTICS}
+    counts["total"] = len(kept)
+    proposed = {h: sum(r["heuristic"] == h for r in rows) for h in HEURISTICS}
     spark = pair.kb1.triples.sparkSession
-    out = spark.createDataFrame(
-        [(r["e1"], r["e2"], r["heuristic"]) for r in rows],
-        schema="e1 long, e2 long, heuristic string",
+    out = spark.createDataFrame(kept, schema="e1 long, e2 long, heuristic string")
+    return MinoanERResult(
+        matches=out,
+        counts=counts,
+        proposed=proposed,
+        rejected={h: proposed[h] - counts[h] for h in HEURISTICS},
     )
-    return MinoanERResult(matches=out, counts=counts)

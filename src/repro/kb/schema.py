@@ -17,7 +17,7 @@ from name-attribute selection (DESIGN.md §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from pyspark.sql import Column, DataFrame, Row, SparkSession
 from pyspark.sql import functions as F
@@ -73,20 +73,8 @@ class KB:
         literals and relations: its distinct subjects, distinct objects and
         triples, a relation's objects counted as entity ids (``nbr``) and
         its triples as the edges of :meth:`relations`. One pass, on first
-        use only."""
-        rel, nbr = F.col("is_rel"), _neighbor_id()
-        kept = F.when(rel, nbr.isNotNull()).otherwise(F.col("pred") != TYPE_PRED)
-        obj = F.when(rel, nbr.cast("string")).otherwise(F.col("obj"))
-        return tuple(
-            self.triples.filter(kept)
-            .groupBy("is_rel", "pred")
-            .agg(
-                F.countDistinct("eid").alias("n_e"),
-                F.countDistinct(obj).alias("n_obj"),
-                F.count("*").alias("n_t"),
-            )
-            .collect()
-        )
+        use only, unless :func:`count_predicates` counted this KB first."""
+        return _predicate_stats(self)[0]
 
     def n_triples(self) -> int:
         return self.triples.count()
@@ -111,6 +99,40 @@ class KB:
         return self.triples.filter(F.col("pred") == TYPE_PRED).select(
             "eid", F.col("obj").alias("type")
         )
+
+
+def _predicate_stats(*kbs: KB) -> list[tuple[Row, ...]]:
+    """:attr:`KB.predicate_stats` of each KB in ``kbs``, from one aggregate
+    over their triples tagged by position."""
+    tagged = [kb.triples.withColumn("kb", F.lit(i)) for i, kb in enumerate(kbs)]
+    triples = reduce(DataFrame.unionByName, tagged)
+    rel, nbr = F.col("is_rel"), _neighbor_id()
+    kept = F.when(rel, nbr.isNotNull()).otherwise(F.col("pred") != TYPE_PRED)
+    obj = F.when(rel, nbr.cast("string")).otherwise(F.col("obj"))
+    rows = (
+        triples.filter(kept)
+        .groupBy("kb", "is_rel", "pred")
+        .agg(
+            F.countDistinct("eid").alias("n_e"),
+            F.countDistinct(obj).alias("n_obj"),
+            F.count("*").alias("n_t"),
+        )
+        .collect()
+    )
+    return [
+        tuple(Row(**{c: v for c, v in r.asDict().items() if c != "kb"})
+              for r in rows if r["kb"] == i)
+        for i in range(len(kbs))
+    ]
+
+
+def count_predicates(*kbs: KB) -> None:
+    """Compute the :attr:`KB.predicate_stats` of the KBs in ``kbs`` not yet
+    counted, in one pass; each KB keeps its own rows."""
+    todo = [kb for kb in kbs if "predicate_stats" not in vars(kb)]
+    if todo:
+        for kb, rows in zip(todo, _predicate_stats(*todo)):
+            vars(kb)["predicate_stats"] = rows  # where cached_property keeps it
 
 
 @dataclass(frozen=True)

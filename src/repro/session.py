@@ -2,14 +2,19 @@
 
 Local mode, broadcast joins off (so the shuffle paths the tests exercise
 are the ones the jobs run), Arrow on, and 8 shuffle partitions, as the
-datasets are laptop-scale. ``SPARK_MASTER`` (default ``local[*]``),
-``SPARK_DRIVER_MEM`` and ``SPARK_SHUFFLE_PARTITIONS`` override them.
+datasets are laptop-scale; the driver JVM logs to stderr. ``SPARK_MASTER``
+(default ``local[*]``), ``SPARK_DRIVER_MEM`` and
+``SPARK_SHUFFLE_PARTITIONS`` override them.
 """
 from __future__ import annotations
 
 import os
 
 from pyspark.sql import SparkSession
+
+# The JVM's unified logging (GC warnings, say) goes to stderr, so that a
+# job's stdout holds only what the job prints.
+JVM_LOG_OPTIONS = "-Xlog:disable -Xlog:all=warning:stderr:uptime,level,tags"
 
 _CGROUP_LIMITS = (
     "/sys/fs/cgroup/memory.max",
@@ -50,6 +55,7 @@ def get_spark(app: str) -> SparkSession:
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
         "--conf spark.ui.showConsoleProgress=false "
+        f"--driver-java-options '{JVM_LOG_OPTIONS}' "
         "pyspark-shell",
     )
     spark = (

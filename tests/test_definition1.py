@@ -1,26 +1,28 @@
 """Definition 1, (H1 v H2 v H3) ^ H4, against a DuckDB oracle.
 
-The Spark heuristics run over the intermediates ``match()`` builds
-(valueSim, neighborNSim and H1, cached). The oracle recomputes H2, H3 and
-H4 from the same intermediates as plain SQL window queries with the same
-tie-breaks: score desc, then the other side's id asc; H3 breaks aggregate
-ties by valueSim desc first.
+The proposals ``resolve()`` collects, every pair H1, H2 or H3 proposes
+with H4's verdict, are read from one ranked table over the intermediates
+``match()`` builds (valueSim, neighborNSim and H1, cached here). The
+oracle recomputes H2, H3 and H4 from the same intermediates, one by one,
+as plain SQL window queries with the same tie-breaks: score desc, then the
+other side's id asc; H3 breaks aggregate ties by valueSim desc first. The
+tiny-pair tests at the end pin how the heuristics compose through
+``match()``.
 
 The plan-shape budgets below count the Exchange and Sort nodes of H1,
-valueSim, H3, H4, the one-pass BSL scoring plan and the BSL candidates.
+valueSim, the ranked table, H3, H4, the one-pass BSL scoring plan and the
+BSL candidates.
 """
-import functools
-
 import pytest
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.baselines import bsl
 from repro.blocking import name_blocking
 from repro.blocking.stats import block_pair
 from repro.core import heuristics, relations, value_sim
-from repro.core.minoaner import MinoanERConfig
+from repro.core.minoaner import MinoanERConfig, match, proposals
 from repro.eval.tables import bsl_candidates
+from repro.kb.schema import pair_from_rows
 from repro.oracle import assert_equivalent
 
 CFG = MinoanERConfig()
@@ -86,9 +88,10 @@ proposed AS (
 ),
 ok1 AS ({_top_k("vsims", "sim", "e1", "e2")} UNION {_top_k("nz", "nsim", "e1", "e2")}),
 ok2 AS ({_top_k("vsims", "sim", "e2", "e1")} UNION {_top_k("nz", "nsim", "e2", "e1")})
-SELECT p.e1, p.e2, p.heuristic FROM proposed p
-WHERE EXISTS (SELECT 1 FROM ok1 o WHERE o.e1 = p.e1 AND o.e2 = p.e2)
-  AND EXISTS (SELECT 1 FROM ok2 o WHERE o.e1 = p.e1 AND o.e2 = p.e2)
+SELECT p.e1, p.e2, p.heuristic,
+       EXISTS (SELECT 1 FROM ok1 o WHERE o.e1 = p.e1 AND o.e2 = p.e2)
+       AND EXISTS (SELECT 1 FROM ok2 o WHERE o.e1 = p.e1 AND o.e2 = p.e2) AS ok
+FROM proposed p
 """
 
 
@@ -119,29 +122,14 @@ def stages(request):
             df.unpersist()
 
 
-def _h1_h2_h3(vsims, nsims, h1):
-    """The three proposals of Definition 1, labelled, composed as in match()."""
-    h1 = h1.withColumn("heuristic", F.lit("H1"))
-    h2 = heuristics.h2_matches(vsims, h1).withColumn("heuristic", F.lit("H2"))
-    matched_12 = h1.select("e1", "e2").unionByName(h2.select("e1", "e2"))
-    h3 = heuristics.h3_matches(vsims, nsims, matched_12, CFG.theta).withColumn(
-        "heuristic", F.lit("H3")
-    )
-    return h1, h2, h3
-
-
 def test_definition1_vs_oracle(stages):
+    """The proposals resolve() collects, each with H4's verdict."""
     pair, vsims, nsims, h1, _ = stages
-    final = heuristics.h4_filter(
-        functools.reduce(DataFrame.unionByName, _h1_h2_h3(vsims, nsims, h1)),
-        vsims,
-        nsims,
-        CFG.K,
-    )
+    got = proposals(vsims, nsims, h1, CFG)
     if pair.name == "bbcmusic_dbpedia":
         # the preset where H3 contributes (352 matches at seed 42)
-        assert final.filter("heuristic = 'H3'").count() == 352
-    assert_equivalent(final, _ORACLE_SQL, vsims=vsims, nsims=nsims, h1=h1)
+        assert got.filter("ok AND heuristic = 'H3'").count() == 352
+    assert_equivalent(got, _ORACLE_SQL, vsims=vsims, nsims=nsims, h1=h1)
 
 
 def _plan_shape(df: DataFrame) -> tuple[int, int]:
@@ -163,12 +151,17 @@ def _plan_shape(df: DataFrame) -> tuple[int, int]:
 
 # (Exchange, Sort) budget of each stage's own plan over materialized
 # cached inputs: the name keys for H1; the tokens and the purged block
-# index that Block Purging read for valueSim. Ranking each candidate list
-# separately took (9, 12) for H3 and (20, 33) for H4. Joining the singles
-# of a name block index back to both name-key tables took (7, 6) for H1,
-# and rebuilding the token block index to join the kept keys took (7, 6)
-# for valueSim (Restaurant).
-PLAN_BUDGET = {"h1": (3, 2), "value_sim": (3, 2), "h3": (4, 7), "h4": (4, 8)}
+# index that Block Purging read for valueSim; valueSim, neighborNSim and
+# H1 for the ranked table resolve() collects, and for H3 and H4, each read
+# from that table alone. Ranking each candidate list separately took
+# (9, 12) for H3 and (20, 33) for H4; ranking one joined table per
+# heuristic took H3 (4, 7) and H4 (4, 8) over a cached H2, both again in
+# resolve(). Joining the singles of a name block index back to both
+# name-key tables took (7, 6) for H1, and rebuilding the token block index
+# to join the kept keys took (7, 6) for valueSim (Restaurant).
+PLAN_BUDGET = {
+    "h1": (3, 2), "value_sim": (3, 2), "ranked": (2, 6), "h3": (4, 7), "h4": (4, 8),
+}
 
 
 def test_blocking_plan_shape_within_budget(stages):
@@ -181,18 +174,19 @@ def test_blocking_plan_shape_within_budget(stages):
 
 
 def test_plan_shape_within_budget(stages):
-    """A machine-independent guard on how often H3 and H4 shuffle and sort."""
+    """A machine-independent guard on how often the ranked table that
+    resolve() collects, and H3 and H4 read from it alone, shuffle and sort."""
     _, vsims, nsims, h1, _ = stages
-    h1, h2, h3 = _h1_h2_h3(vsims, nsims, h1)
-    h2 = h2.cache()  # as in match()
+    h2 = heuristics.h2_matches(vsims, h1).cache()
     h2.count()
-    shapes = {"h3": _plan_shape(h3)}
-    h3 = h3.cache()
-    h3.count()
-    proposed = h1.unionByName(h2).unionByName(h3)
-    shapes["h4"] = _plan_shape(heuristics.h4_filter(proposed, vsims, nsims, CFG.K))
+    matched = h1.unionByName(h2)
+    h3 = heuristics.h3_matches(vsims, nsims, matched, CFG.theta)
+    shapes = {
+        "ranked": _plan_shape(proposals(vsims, nsims, h1, CFG)),
+        "h3": _plan_shape(h3),
+        "h4": _plan_shape(heuristics.h4_filter(matched, vsims, nsims, CFG.K)),
+    }
     h2.unpersist()
-    h3.unpersist()
     for stage, (shuffles, sorts) in shapes.items():
         budget = PLAN_BUDGET[stage]
         assert shuffles <= budget[0] and sorts <= budget[1], (stage, shapes[stage])
@@ -226,3 +220,72 @@ def test_candidates_plan_shape_within_budget(restaurant_pair):
     with block_pair(restaurant_pair, CFG.k, CFG.budget_factor) as b:
         shape = _plan_shape(b.candidates())
     assert shape[0] <= CANDIDATES_PLAN_BUDGET[0] and shape[1] <= CANDIDATES_PLAN_BUDGET[1], shape
+
+
+# ------------------------------------------------ Definition 1 on tiny pairs
+# Each pair isolates one rule of how the heuristics compose. Every E1 and
+# E2 literal attribute is a name attribute (k = 2), so only the values
+# written equal on both sides form a 1-1 name block.
+def _tiny_match(spark, rows1, rows2, cfg=CFG) -> set:
+    pair = pair_from_rows(spark, "tiny", rows1, rows2, [])
+    return {tuple(r) for r in match(pair, cfg).matches.collect()}
+
+
+def test_best_value_sim_of_exactly_one_is_h2(spark):
+    """The token "uniq" is in one entity per KB: valueSim
+    1/log2(1*1 + 1) = 1.0 exactly, which is H2's bound, not H3's."""
+    got = _tiny_match(
+        spark, [(1, "ns0:name", "uniq alpha", False)], [(101, "ns1:label", "uniq beta", False)]
+    )
+    assert got == {(1, 101, "H2")}
+
+
+def test_h1_entity_gets_no_h2_or_h3_pick(spark):
+    """E1 entity 1 shares the unique name "acme corp" with 101 (valueSim 2)
+    and three pair-unique tokens with 102 (valueSim 3): H1 matches it, and
+    neither H2 nor H3 proposes its better-valued pair."""
+    rows1 = [(1, "ns0:name", "acme corp", False), (1, "ns0:desc", "qux zap zip one", False)]
+    rows2 = [
+        (101, "ns1:label", "acme corp", False),
+        (102, "ns1:label", "other co", False),
+        (102, "ns1:info", "zip zap qux two", False),
+    ]
+    assert _tiny_match(spark, rows1, rows2) == {(1, 101, "H1")}
+
+
+def test_neighbor_only_evidence_gets_no_h3_pick(spark):
+    """3 and 103 share no token, but their neighbors 1 and 101 match, so
+    neighborNSim(3, 103) > 0: H3 ranks co-occurring candidates only, and 3
+    has none."""
+    rows1 = [
+        (1, "ns0:name", "acme corp", False),
+        (3, "ns0:name", "gamma", False),
+        (3, "ns0:rel", "1", True),
+    ]
+    rows2 = [
+        (101, "ns1:label", "acme corp", False),
+        (103, "ns1:label", "delta", False),
+        (103, "ns1:link", "101", True),
+    ]
+    assert _tiny_match(spark, rows1, rows2) == {(1, 101, "H1")}
+
+
+def test_h2_pick_rejected_by_h4_does_not_fall_through_to_h3(spark):
+    """At K = 1, H2 proposes (1, 101) (valueSim 1.0) and H4 rejects it:
+    101's best is 2 (valueSim 2). Had H3 ranked entity 1, the neighbor
+    evidence of (1, 102) (its neighbors 2 and 101 match) would have made
+    (1, 102) a reciprocal H3 match."""
+    rows1 = [
+        (1, "ns0:name", "one uniq", False),
+        (1, "ns0:desc", "shr x1", False),
+        (1, "ns0:rel", "2", True),
+        (2, "ns0:name", "two aa bb", False),
+        (3, "ns0:name", "three shr", False),
+    ]
+    rows2 = [
+        (101, "ns1:label", "uniq aa bb", False),
+        (102, "ns1:label", "shr y2", False),
+        (102, "ns1:link", "101", True),
+    ]
+    got = _tiny_match(spark, rows1, rows2, MinoanERConfig(K=1))
+    assert got == {(2, 101, "H2")}

@@ -1,6 +1,8 @@
 """Tests for dataset statistics / Table I (repro.kb.stats)."""
 import pytest
 
+from repro.core.attributes import importance
+from repro.kb.schema import KB, count_predicates
 from repro.kb.stats import dataset_stats, kb_stats
 from repro.oracle import assert_equivalent
 
@@ -70,3 +72,22 @@ def test_yago_shape(yago_pair):
     assert s["E1 types"] > 10 * s["E2 types"]
     assert s["E2 vocabularies"] == 1
     assert abs(s["E1 avg_tokens"] - s["E2 avg_tokens"]) < 15
+
+
+def test_pair_pass_equals_own_pass(bbc_pair):
+    """count_predicates gives each KB of a pair the rows, and so the
+    importances, of its own pass, and counts a counted KB no more."""
+    def fresh(kb):
+        return KB(kb.tag, kb.triples)
+
+    paired = fresh(bbc_pair.kb1), fresh(bbc_pair.kb2)
+    count_predicates(*paired)
+    for kb, own in zip(paired, (fresh(bbc_pair.kb1), fresh(bbc_pair.kb2))):
+        assert sorted(kb.predicate_stats) == sorted(own.predicate_stats)
+        for rel in (False, True):
+            def hexes(k):
+                return sorted((p.pred, float.hex(p.importance)) for p in importance(k, rel))
+            assert hexes(kb) == hexes(own)
+    rows = paired[0].predicate_stats
+    count_predicates(paired[0], fresh(bbc_pair.kb2))
+    assert paired[0].predicate_stats is rows

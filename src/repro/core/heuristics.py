@@ -106,9 +106,9 @@ def ranked_candidates(
     """
     none = F.lit(None).cast("double")
 
-    def rows(df: DataFrame, sim: Column, nsim: Column, matched: bool) -> DataFrame:
+    def rows(df: DataFrame, sim: Column, nsim: Column, is_matched: bool) -> DataFrame:
         return df.select(
-            "e1", "e2", sim.alias("sim"), nsim.alias("nsim"), F.lit(matched).alias("matched")
+            "e1", "e2", sim.alias("sim"), nsim.alias("nsim"), F.lit(is_matched).alias("matched")
         )
 
     parts = [rows(value_sims, F.col("sim"), none, False)]

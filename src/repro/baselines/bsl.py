@@ -33,7 +33,7 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.baselines.umc import umc_frontier
-from repro.blocking.tokenize import entity_ngrams
+from repro.blocking.tokenize import pair_ngrams
 from repro.eval.metrics import gt_sets, on_gt_e1, prf
 from repro.kb.schema import KBPair
 
@@ -78,24 +78,21 @@ def _weighted_grams(pair: KBPair, sizes: tuple[int, ...]) -> DataFrame:
     so counting distinct (gram, eid) would merge an E1 and an E2 entity
     that share an id. IDF is keyed by the gram alone: its token count
     fixes its n. The document statistics are a second window, over
-    (kb, eid, n), so the table is read once by the scoring join.
+    (kb, eid, n), within the table's (kb, eid) partitions, which the
+    scoring join reads once.
     """
     n_docs = pair.kb1.n_entities() + pair.kb2.n_entities()
     df = F.count("*").over(Window.partitionBy("gram"))
     doc = Window.partitionBy("kb", "eid", "n")
-    weighted = (
-        entity_ngrams(pair.kb1, *sizes).withColumn("kb", F.lit(1))
-        .unionByName(entity_ngrams(pair.kb2, *sizes).withColumn("kb", F.lit(2)))
-        .select(
-            "kb",
-            "eid",
-            "n",
-            "gram",
-            F.col("tf").cast("double").alias("w_tf"),
-            (F.col("tf") * F.log2(1.0 + F.lit(float(n_docs)) / df)).alias("w_ti"),
-        )
+    weighted = pair_ngrams(pair, *sizes).select(
+        "kb",
+        "eid",
+        "n",
+        "gram",
+        F.col("tf").cast("double").alias("w_tf"),
+        (F.col("tf") * F.log2(1.0 + F.lit(float(n_docs)) / df)).alias("w_ti"),
     )
-    return weighted.select(
+    return weighted.repartition("kb", "eid").select(
         "*",
         F.count("*").over(doc).alias("c"),
         F.sum("w_tf").over(doc).alias("s_tf"),
@@ -114,6 +111,12 @@ def pair_similarities(pair: KBPair, candidates: DataFrame, *sizes: int) -> DataF
     (n, e1, e2, gram) group of two rows, whose per-side columns are taken
     apart with ``max(when(kb = ...))``. The document statistics are
     constant per (n, e1, e2), so they are grouping keys of the final sum.
+
+    One hash partitioning per key, shared across union, window and join:
+    both KBs' grams are partitioned by ``gram`` in one shuffle (the tf
+    count and the IDF window), the weighted table by ``(kb, eid)`` (the document window and
+    the join to the ends) and the shared grams by ``(n, e1, e2)`` (both
+    sums), so each of those readers shuffles nothing of its own.
     """
     ends = candidates.select(
         "e1",
@@ -130,6 +133,7 @@ def pair_similarities(pair: KBPair, candidates: DataFrame, *sizes: int) -> DataF
     }
     shared = (
         ends.join(_weighted_grams(pair, sizes), ["kb", "eid"])
+        .repartition("n", "e1", "e2")
         .groupBy("n", "e1", "e2", "gram")
         .agg(F.count("*").alias("ends"), *(e.alias(c) for c, e in side.items()))
         .filter("ends = 2")

@@ -6,7 +6,8 @@ keys; their block index is :func:`repro.blocking.token_blocking.block_index`
 over the two name-key tables. A block with exactly one entity from each
 KB is an H1 match: the two entities — and only they — have that name. H1
 needs no index for that: per KB, a name's block count and smallest
-entity id give its one entity whenever the count is 1.
+entity id give its one entity whenever the count is 1. The name keys are
+hash-partitioned by name, so those counts and their join shuffle no key.
 """
 from __future__ import annotations
 

@@ -25,6 +25,8 @@ the driver.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -36,13 +38,27 @@ DEFAULT_BUDGET_FACTOR = 0.01
 DEFAULT_MIN_BUDGET = 1_000
 
 
-def purge_threshold(
+@dataclass(frozen=True)
+class PurgeStats:
+    """What Block Purging kept of a block index: the largest comparisons
+    per block retained (``threshold``), the blocks kept and purged, and the
+    comparisons of the kept blocks against the ``budget``."""
+
+    threshold: int
+    blocks_kept: int
+    blocks_purged: int
+    comparisons_kept: int
+    budget: float
+
+
+def purge_stats(
     index: DataFrame,
     cartesian: int,
     budget_factor: float = DEFAULT_BUDGET_FACTOR,
     min_budget: int = DEFAULT_MIN_BUDGET,
-) -> int:
-    """Max comparisons-per-block retained for a (key, n1, n2) block index.
+) -> PurgeStats:
+    """Purge a (key, n1, n2) block index on the driver, from its one
+    collected cardinality histogram.
 
     The smallest cardinality level is always kept, even if it alone
     exceeds the budget: 1x1 blocks are the highest-precision evidence
@@ -55,18 +71,23 @@ def purge_threshold(
         .agg(F.count("*").alias("blocks"))
         .collect()
     )
-    if not hist:
-        return 0
-    budget = max(budget_factor * cartesian, min_budget)
-    cc = 0.0
-    threshold = hist[0][0]
+    budget = float(max(budget_factor * cartesian, min_budget))
+    cc = kept = 0
+    threshold = hist[0][0] if hist else 0
     for card, blocks in hist:
         level = card * blocks
         if cc + level > budget and cc > 0:
             break
         cc += level
+        kept += blocks
         threshold = card
-    return threshold
+    purged = sum(blocks for _, blocks in hist) - kept
+    return PurgeStats(threshold, kept, purged, cc, budget)
+
+
+def kept_blocks(index: DataFrame, threshold: int) -> DataFrame:
+    """The blocks of ``index`` of at most ``threshold`` comparisons."""
+    return index.filter(F.col("n1") * F.col("n2") <= threshold)
 
 
 def purge(
@@ -76,6 +97,5 @@ def purge(
     min_budget: int = DEFAULT_MIN_BUDGET,
 ) -> tuple[DataFrame, int]:
     """Return (kept block index, threshold). Blocks above threshold drop."""
-    t = purge_threshold(index, cartesian, budget_factor, min_budget)
-    return index.filter(F.col("n1") * F.col("n2") <= t), t
-
+    t = purge_stats(index, cartesian, budget_factor, min_budget).threshold
+    return kept_blocks(index, t), t

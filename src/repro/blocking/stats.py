@@ -28,13 +28,13 @@ from repro.kb.schema import KBPair, count_predicates
 class Blocking:
     """The per-KB (eid, token) ``tokens`` and ``names`` (name keys) of a
     pair, its (key, n1, n2) token block ``index`` B_T and the ``kept``
-    blocks of B_T, of at most ``threshold`` comparisons each, with the
-    purging budget a share of ``cartesian`` = |E1|·|E2|."""
+    blocks of B_T that Block Purging left (``purge``), with the purging
+    budget a share of ``cartesian`` = |E1|·|E2|."""
 
     tokens: tuple[DataFrame, DataFrame]
     index: DataFrame
     kept: DataFrame
-    threshold: int
+    purge: purging.PurgeStats
     names: tuple[DataFrame, DataFrame]
     cartesian: int
 
@@ -58,18 +58,27 @@ def block_pair(
 ) -> Iterator[Blocking]:
     """The :class:`Blocking` of ``pair`` inside a ``with`` block. The tokens
     and the token index, which every reader reads twice, are cached until
-    the block exits, even if it raises; the name keys are not cached. The
-    index is cached sorted by key, so the joins on it (valueSim, the
-    candidates) do not sort it again. Both KBs' predicate statistics, which
-    the name keys and the neighbors read, are counted in one pass."""
-    tokens = entity_tokens(pair.kb1).cache(), entity_tokens(pair.kb2).cache()
+    the block exits, even if it raises; the name keys are not cached. Both
+    KBs' predicate statistics, which the name keys and the neighbors read,
+    are counted in one pass.
+
+    One hash partitioning per key, shared across cache, union, window and
+    join: the tokens are partitioned by token and the name keys by name
+    before they are deduplicated, so the index's union and aggregate, and
+    the joins of valueSim and of the candidates on a token or a name,
+    shuffle nothing. The tokens and the index are cached sorted by their
+    key, so those joins do not sort them again either."""
+    tokens = tuple(
+        entity_tokens(kb).sortWithinPartitions("token").cache() for kb in (pair.kb1, pair.kb2)
+    )
     index = block_index(*tokens).sortWithinPartitions("key").cache()
     try:
         cartesian = pair.kb1.n_entities() * pair.kb2.n_entities()
-        kept, threshold = purging.purge(index, cartesian, budget_factor)
+        purge = purging.purge_stats(index, cartesian, budget_factor)
+        kept = purging.kept_blocks(index, purge.threshold)
         count_predicates(pair.kb1, pair.kb2)
         names = name_blocking.name_keys(pair, k)
-        yield Blocking(tokens, index, kept, threshold, names, cartesian)
+        yield Blocking(tokens, index, kept, purge, names, cartesian)
     finally:
         for df in (index, *tokens):
             df.unpersist()
@@ -91,15 +100,14 @@ def block_stats(pair: KBPair) -> dict:
     """Compute a full Table II column for one dataset."""
     with block_pair(pair) as b:
         n_bn, c_bn = collection_size(block_index(*b.names))
-        n_bt, c_bt = collection_size(b.kept)
         q = block_quality(b.candidates(), pair.ground_truth)
     return {
         "dataset": pair.name,
         "|BN|": n_bn,
-        "|BT|": n_bt,
+        "|BT|": b.purge.blocks_kept,
         "||BN||": c_bn,
-        "||BT||": c_bt,
+        "||BT||": b.purge.comparisons_kept,
         "|E1|*|E2|": b.cartesian,
-        "purge_threshold": b.threshold,
+        "purge_threshold": b.purge.threshold,
         **q,
     }

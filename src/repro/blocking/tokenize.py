@@ -17,7 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.kb.schema import KB
+from repro.kb.schema import KB, KBPair
 
 _SPLIT_RE = "[^a-z0-9]+"
 
@@ -37,10 +37,13 @@ def value_token_arrays(kb: KB) -> DataFrame:
 
 
 def entity_tokens(kb: KB) -> DataFrame:
-    """(eid, token) — the distinct token set of each entity."""
+    """(eid, token) — the distinct token set of each entity, hash-partitioned
+    by ``token``: the block index, valueSim and the candidates join and
+    group on the token alone, so this one shuffle serves them all."""
     return (
         value_token_arrays(kb)
         .select("eid", F.explode("tokens").alias("token"))
+        .repartition("token")
         .distinct()
     )
 
@@ -52,8 +55,26 @@ def entity_ngrams(kb: KB, *sizes: int) -> DataFrame:
     Grams are built within each value via a Catalyst ``transform`` over
     index sequences (no Python UDF); a value of fewer than n tokens has
     no n-gram. ``tf`` counts occurrences across the whole description,
-    which feeds TF / TF-IDF weighting in BSL.
+    which feeds TF / TF-IDF weighting in BSL. The counts are
+    hash-partitioned by ``gram``.
     """
+    return _counted_ngrams(value_token_arrays(kb), ["eid"], sizes)
+
+
+def pair_ngrams(pair: KBPair, *sizes: int) -> DataFrame:
+    """(kb, eid, n, gram, tf) — :func:`entity_ngrams` of both KBs of
+    ``pair``, tagged ``kb`` = 1 or 2. The values of both KBs are unioned
+    before the grams are shuffled, so both share the one partitioning by
+    ``gram`` that BSL's IDF window reads."""
+    values = (
+        value_token_arrays(pair.kb1).withColumn("kb", F.lit(1))
+        .unionByName(value_token_arrays(pair.kb2).withColumn("kb", F.lit(2)))
+    )
+    return _counted_ngrams(values, ["kb", "eid"], sizes)
+
+
+def _counted_ngrams(values: DataFrame, keys: list[str], sizes: tuple[int, ...]) -> DataFrame:
+    """(<keys>, n, gram, tf) of the (<keys>, tokens) ``values``."""
     if not sizes or min(sizes) < 1:
         raise ValueError(f"n-gram sizes must be >= 1, got {sizes}")
     grams = F.expr(
@@ -61,11 +82,12 @@ def entity_ngrams(kb: KB, *sizes: int) -> DataFrame:
         "i -> concat_ws(' ', slice(tokens, i + 1, n)))"
     )
     return (
-        value_token_arrays(kb)
-        .select("eid", "tokens", F.explode(F.array(*map(F.lit, sorted(set(sizes))))).alias("n"))
+        values
+        .select(*keys, "tokens", F.explode(F.array(*map(F.lit, sorted(set(sizes))))).alias("n"))
         .filter(F.size("tokens") >= F.col("n"))
-        .select("eid", "n", F.explode(grams).alias("gram"))
-        .groupBy("eid", "n", "gram")
+        .select(*keys, "n", F.explode(grams).alias("gram"))
+        .repartition("gram")
+        .groupBy(*keys, "n", "gram")
         .agg(F.count("*").alias("tf"))
     )
 

@@ -55,15 +55,20 @@ def top_predicates(kb: KB, n: int, relations: bool = False) -> list[str]:
 
 
 def entity_names(kb: KB, k: int = 2) -> DataFrame:
-    """(eid, name) — normalized literal values of the top-k name attributes.
+    """(eid, name) — normalized literal values of the top-k name attributes,
+    hash-partitioned by ``name``, which H1 and name blocking group and join on.
 
     An entity may expose several names (one per name attribute / value).
     Normalization mirrors tokenization casing so that name equality is
-    insensitive to case and surrounding whitespace.
+    insensitive to case and surrounding whitespace. A value that is blank
+    after trimming is no name: blank values would otherwise share one
+    name block.
     """
     return (
         kb.literals()
         .filter(F.col("pred").isin(top_predicates(kb, k)))
         .select("eid", F.trim(F.lower(F.col("obj"))).alias("name"))
+        .filter(F.col("name") != "")
+        .repartition("name")
         .distinct()
     )

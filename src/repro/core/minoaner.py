@@ -31,14 +31,16 @@ class MinoanERConfig:
 
 @dataclass
 class MinoanERResult:
-    """Final matches plus per-heuristic diagnostics: ``counts`` of the
-    matches per heuristic and in ``total``, the pairs each heuristic
-    ``proposed`` and how many of those H4 ``rejected``."""
+    """Final matches plus diagnostics: ``counts`` of the matches per
+    heuristic and in ``total``, the pairs each heuristic ``proposed``, how
+    many of those H4 ``rejected``, and what Block Purging kept of B_T
+    (``purge``)."""
 
     matches: DataFrame                     # (e1, e2, heuristic)
     counts: dict[str, int] = field(default_factory=dict)
     proposed: dict[str, int] = field(default_factory=dict)
     rejected: dict[str, int] = field(default_factory=dict)
+    purge: purging.PurgeStats | None = None
 
 
 HEURISTICS = ("H1", "H2", "H3")
@@ -93,4 +95,5 @@ def resolve(pair: KBPair, b: Blocking, cfg: MinoanERConfig) -> MinoanERResult:
         counts=counts,
         proposed=proposed,
         rejected={h: proposed[h] - counts[h] for h in HEURISTICS},
+        purge=b.purge,
     )

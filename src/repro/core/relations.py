@@ -16,6 +16,13 @@ from repro.kb.schema import KB
 
 
 def top_neighbors(kb: KB, n: int = 3) -> DataFrame:
-    """(eid, nbr) — distinct neighbors through the top-n relations."""
+    """(eid, nbr) — distinct neighbors through the top-n relations,
+    hash-partitioned by ``nbr``, which neighborNSim joins on."""
     top = top_predicates(kb, n, relations=True)
-    return kb.relations().filter(F.col("pred").isin(top)).select("eid", "nbr").distinct()
+    return (
+        kb.relations()
+        .filter(F.col("pred").isin(top))
+        .select("eid", "nbr")
+        .repartition("nbr")
+        .distinct()
+    )

@@ -100,7 +100,8 @@ FROM proposed p
 )
 def stages(request):
     """The cached inputs of H2-H4 for one pair, built as ``match()`` does,
-    and the plan shapes of H1 and valueSim over their own cached inputs."""
+    and the plan shapes of H1, valueSim and neighborNSim over their own
+    cached inputs."""
     pair = request.getfixturevalue(request.param)
     with block_pair(pair, CFG.k, CFG.budget_factor) as b:
         nk = tuple(df.cache() for df in b.names)
@@ -114,7 +115,9 @@ def stages(request):
             vsims,
             relations.top_neighbors(pair.kb1, CFG.N),
             relations.top_neighbors(pair.kb2, CFG.N),
-        ).cache()
+        )
+        shapes["nsim"] = _plan_shape(nsims)
+        nsims = nsims.cache()
         for df in (vsims, nsims, h1):
             df.count()
         yield pair, vsims, nsims, h1, shapes
@@ -151,22 +154,28 @@ def _plan_shape(df: DataFrame) -> tuple[int, int]:
 
 # (Exchange, Sort) budget of each stage's own plan over materialized
 # cached inputs: the name keys for H1; the tokens and the purged block
-# index that Block Purging read for valueSim; valueSim, neighborNSim and
-# H1 for the ranked table resolve() collects, and for H3 and H4, each read
-# from that table alone. Ranking each candidate list separately took
-# (9, 12) for H3 and (20, 33) for H4; ranking one joined table per
-# heuristic took H3 (4, 7) and H4 (4, 8) over a cached H2, both again in
-# resolve(). Joining the singles of a name block index back to both
-# name-key tables took (7, 6) for H1, and rebuilding the token block index
-# to join the kept keys took (7, 6) for valueSim (Restaurant).
+# index that Block Purging read for valueSim; valueSim for neighborNSim,
+# beside the uncached neighbor lists; valueSim, neighborNSim and H1 for
+# the ranked table resolve() collects, and for H3 and H4, each read from
+# that table alone. Ranking each candidate list separately took (9, 12)
+# for H3 and (20, 33) for H4; ranking one joined table per heuristic took
+# H3 (4, 7) and H4 (4, 8) over a cached H2, both again in resolve().
+# Joining the singles of a name block index back to both name-key tables
+# took (7, 6) for H1, and rebuilding the token block index to join the
+# kept keys took (7, 6) for valueSim (Restaurant). Hash-partitioning the
+# tokens, name keys and neighbor lists by the (entity, key) pair, not the
+# key their readers join on, took (3, 2) for H1 and valueSim and (7, 4)
+# for neighborNSim.
 PLAN_BUDGET = {
-    "h1": (3, 2), "value_sim": (3, 2), "ranked": (2, 6), "h3": (4, 7), "h4": (4, 8),
+    "h1": (1, 2), "value_sim": (1, 0), "nsim": (5, 4),
+    "ranked": (2, 6), "h3": (4, 7), "h4": (4, 8),
 }
 
 
 def test_blocking_plan_shape_within_budget(stages):
     """H1 counts name blocks and valueSim weighs the purged index, each
-    without building a block index again."""
+    without building a block index again; neither shuffles its cached
+    keyed input, and neighborNSim shuffles no neighbor list twice."""
     *_, shapes = stages
     for stage, (shuffles, sorts) in shapes.items():
         budget = PLAN_BUDGET[stage]
@@ -196,13 +205,17 @@ def test_plan_shape_within_budget(stages):
 # over a materialized cached candidate set, on Restaurant. Scoring one
 # size per plan, with IDF joined to each KB's grams, took (29, 16) per
 # size, three plans per sweep; reading the weighted grams four times (both
-# join sides and two per-entity norm tables) took (21, 12).
-BSL_PLAN_BUDGET = (8, 4)
+# join sides and two per-entity norm tables) took (21, 12); shuffling the
+# grams by (eid, n, gram), the documents by (kb, eid, n) and the shared
+# grams by (n, e1, e2, gram) again before each reader took (8, 4), and
+# shuffling each KB's grams by gram apart took (5, 3).
+BSL_PLAN_BUDGET = (4, 3)
 # (Exchange, Sort) budget of the B_N u purged B_T candidate plan over the
 # tokens and token index the blocking cached, on Restaurant. Uncached, it
 # took (18, 8) when the purged keys were joined to both token tables, so
-# the purged index was built twice, and (14, 6) when joined to one.
-CANDIDATES_PLAN_BUDGET = (8, 4)
+# the purged index was built twice, and (14, 6) when joined to one; with
+# the tokens and name keys partitioned by (eid, key), not by key, (8, 4).
+CANDIDATES_PLAN_BUDGET = (4, 2)
 
 
 def test_bsl_plan_shape_within_budget(restaurant_pair):

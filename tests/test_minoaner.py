@@ -7,6 +7,7 @@ import hashlib
 
 import pytest
 
+from repro.blocking.purging import PurgeStats
 from repro.core.minoaner import MinoanERConfig, match
 from repro.eval.metrics import precision_recall_f1
 from repro.kb import datasets
@@ -36,6 +37,15 @@ def test_counts_consistent(toy_pair):
     assert res.counts["total"] == sum(res.counts[h] for h in ("H1", "H2", "H3"))
     for h in ("H1", "H2", "H3"):
         assert res.proposed[h] - res.rejected[h] == res.counts[h]
+
+
+def test_result_reports_block_purging(toy_pair):
+    """The toy B_T: acme, corp, beta and qux are 1x1 blocks, zeta 1x2 and
+    common 2x3, 12 comparisons; 1% of 4x5 is below the 1,000-comparison
+    floor, so every block is kept."""
+    assert match(toy_pair).purge == PurgeStats(
+        threshold=6, blocks_kept=6, blocks_purged=0, comparisons_kept=12, budget=1000.0
+    )
 
 
 def test_output_schema(toy_pair):
@@ -166,7 +176,9 @@ def test_all_heuristics_contribute_on_heterogeneous_data(runs, bbc_pair):
 
 def test_yago_small_scale_heuristic_counts(spark):
     """YAGO at scale 0.1 (seed 42): Block Purging keeps only the 1x1 token
-    blocks, so every co-occurring pair has valueSim 1 or more and H2 takes
+    blocks, whose 3,600 comparisons already exceed the budget of 1% of
+    580x380 (the smallest level is always kept), and purges the other 184
+    blocks. So every co-occurring pair has valueSim 1 or more and H2 takes
     every E1 entity outside H1 that has a candidate, leaving H3 none. No
     ground-truth pair co-occurs in a kept block, so H1's 87 pairs have no
     valueSim or neighborNSim list entry and H4 rejects all 87; H2's 416
@@ -176,6 +188,9 @@ def test_yago_small_scale_heuristic_counts(spark):
     assert res.proposed == {"H1": 87, "H2": 416, "H3": 0}
     assert res.rejected == {"H1": 87, "H2": 0, "H3": 0}
     assert res.counts == {"H1": 0, "H2": 416, "H3": 0, "total": 416}
+    assert res.purge == PurgeStats(
+        threshold=1, blocks_kept=3600, blocks_purged=184, comparisons_kept=3600, budget=2204.0
+    )
     assert precision_recall_f1(res.matches, pair.ground_truth)["tp"] == 0
 
 
@@ -204,8 +219,10 @@ def test_shuffle_partition_invariance(spark, request, pair_name):
 # KB, one cached block index and H1 from name-block counts took 48 with the
 # name keys cached, and 46 with them read once, uncached. Ranking H2, H3
 # and H4 from one candidate table, counting both KBs' predicates in one
-# pass and the token block index in one aggregate take 31.
-MATCH_JOB_BUDGET = 31
+# pass and the token block index in one aggregate took 31; partitioning the
+# tokens, name keys and neighbor lists once by the key their readers join
+# and group on takes 24.
+MATCH_JOB_BUDGET = 24
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@
 from pyspark.sql import functions as F
 
 from repro.blocking import name_blocking, token_blocking
+from repro.blocking.stats import block_stats
+from repro.core.minoaner import match
 from repro.kb.schema import pair_from_rows
 
 
@@ -52,6 +54,17 @@ def test_h1_multiple_names_per_entity(spark):
     pair = pair_from_rows(spark, "t", rows1, rows2, [])
     got = {(r.e1, r.e2) for r in name_blocking.h1_matches(pair, 2).collect()}
     assert got == {(1, 9)}
+
+
+def test_blank_names_form_no_block(spark):
+    """E1 entity 2 and E2 entity 12 have only blank names: they have no
+    name, so they share no name block and H1 does not match them."""
+    pair = _pair(spark, [(1, "alpha"), (2, "  ")], [(11, "alpha"), (12, " ")], [(1, 11)])
+    got = {(r.e1, r.e2) for r in name_blocking.h1_matches(pair, 1).collect()}
+    assert got == {(1, 11)}
+    assert match(pair).proposed["H1"] == 1
+    stats = block_stats(pair)
+    assert (stats["|BN|"], stats["precision"]) == (1, 100.0)
 
 
 def test_h1_toy_case_insensitive(toy_pair):

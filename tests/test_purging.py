@@ -11,14 +11,15 @@ def _index(spark, blocks):
 
 
 def test_empty_index(spark):
-    assert purging.purge_threshold(_index(spark, []), 100) == 0
+    """An empty index keeps nothing, against the min_budget floor."""
+    assert purging.purge_stats(_index(spark, []), 100) == purging.PurgeStats(0, 0, 0, 0, 1000.0)
 
 
 def test_single_level_always_kept(spark):
     idx = _index(spark, [("a", 10, 10), ("b", 10, 10)])
     # level 100 alone exceeds a budget of 1% of 1000 = 10, yet it is the
     # smallest level -> kept
-    assert purging.purge_threshold(idx, 1000, min_budget=0) == 100
+    assert purging.purge_stats(idx, 1000, min_budget=0).threshold == 100
 
 
 def test_min_budget_floor_keeps_small_inputs_intact(spark):
@@ -34,11 +35,13 @@ def test_budget_cuts_large_blocks(spark):
         spark,
         [("a", 1, 1), ("b", 1, 1), ("c", 2, 2), ("stop", 100, 100)],
     )
-    # cartesian 1000, budget 1% = 10: levels 1 (cc 2), 4 (cc 6) fit;
-    # 10000 does not (min_budget=0 isolates the budget math from the
-    # small-input floor)
-    t = purging.purge_threshold(idx, 1000, min_budget=0)
-    assert t == 4
+    # cartesian 1000, budget 1% = 10: levels 1 (cc 2), 4 (cc 6) fit, 6
+    # comparisons in 3 blocks; 10000 does not, so the 100x100 block is
+    # purged (min_budget=0 isolates the budget math from the small-input
+    # floor)
+    assert purging.purge_stats(idx, 1000, min_budget=0) == purging.PurgeStats(
+        threshold=4, blocks_kept=3, blocks_purged=1, comparisons_kept=6, budget=10.0
+    )
 
 
 def test_purge_filters_index(spark):
@@ -55,8 +58,8 @@ def test_budget_factor_monotone(spark):
         spark,
         [(f"k{i}", i, i) for i in range(1, 20)],
     )
-    t_small = purging.purge_threshold(idx, 10_000, budget_factor=0.001, min_budget=0)
-    t_big = purging.purge_threshold(idx, 10_000, budget_factor=0.1, min_budget=0)
+    t_small = purging.purge_stats(idx, 10_000, budget_factor=0.001, min_budget=0).threshold
+    t_big = purging.purge_stats(idx, 10_000, budget_factor=0.1, min_budget=0).threshold
     assert t_small <= t_big
 
 
@@ -107,4 +110,4 @@ def test_blocking_recall_survives_purging(restaurant_pair):
 def test_threshold_zero_budget(spark):
     idx = _index(spark, [("a", 1, 1)])
     # even with a zero budget the smallest level is kept
-    assert purging.purge_threshold(idx, 10**9, budget_factor=0.0, min_budget=0) == 1
+    assert purging.purge_stats(idx, 10**9, budget_factor=0.0, min_budget=0).threshold == 1

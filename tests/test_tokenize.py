@@ -6,9 +6,10 @@ from repro.blocking.tokenize import (
     avg_tokens_per_entity,
     entity_ngrams,
     entity_tokens,
+    pair_ngrams,
     value_token_arrays,
 )
-from repro.kb.schema import kb_from_rows
+from repro.kb.schema import kb_from_rows, pair_from_rows
 from repro.oracle import assert_equivalent
 
 
@@ -96,6 +97,23 @@ def test_ngrams_all_sizes_in_one_pass(spark):
     )
     assert together == apart
     assert {r[1] for r in together} == {1, 2, 3}
+
+
+def test_pair_ngrams_tag_each_kb(spark):
+    """Both KBs' grams, counted in one pass, equal each KB's own grams
+    tagged by its side; an id shared by both KBs stays two documents."""
+    pair = pair_from_rows(
+        spark, "p", [(1, "a", "p q p", False)], [(1, "a", "p q", False), (2, "a", "q", False)], []
+    )
+    cols = ["eid", "n", "gram", "tf"]
+    both = sorted(tuple(r) for r in pair_ngrams(pair, 1, 2).select("kb", *cols).collect())
+    apart = sorted(
+        (side, *r)
+        for side, kb in ((1, pair.kb1), (2, pair.kb2))
+        for r in entity_ngrams(kb, 1, 2).select(cols).collect()
+    )
+    assert both == apart
+    assert (1, 1, 1, "p", 2) in both and (2, 1, 1, "p", 1) in both
 
 
 def test_ngram_invalid_n(spark):

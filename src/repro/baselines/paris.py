@@ -29,6 +29,10 @@ followed by a greedy one-to-one assignment of pairs with P >= 0.5
 whose total weight cannot influence the result (a * w * w' < 0.02, the
 same floor used to prune the pair table) are dropped before the joins.
 
+f1(v) and f2(v), the numbers of entities per KB that carry the non-blank
+value v, are the block sizes of the literal values' block index, the one
+count of block sizes MinoanER's blocking reads too
+(:func:`repro.blocking.token_blocking.block_index`).
 fun and fun_inv are driver arithmetic over the per-predicate counts of
 :attr:`repro.kb.schema.KB.predicate_stats`, which MinoanER's importance
 reads too. Each KB's (x, r, y) edge table is selected once. The
@@ -49,6 +53,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.umc import umc_df
+from repro.blocking.token_blocking import block_index
 from repro.kb.schema import KB, KBPair
 
 # Literal values shared by too many entity pairs are no evidence at all
@@ -57,31 +62,36 @@ from repro.kb.schema import KB, KBPair
 MAX_VALUE_PAIRS = 1_000
 
 
-def _norm_literals(kb: KB, side: str) -> DataFrame:
+def _norm_literals(kb: KB) -> DataFrame:
+    """(eid, token) — each entity's distinct trimmed literal values; a
+    value that is blank after trimming is no evidence."""
     # PARIS compares literals *exactly* (modulo surrounding whitespace):
     # no case folding, no tokenization. This is the documented reason it
     # "cannot deal with structural heterogeneity" — formatting differences
     # between KBs (case, qualifiers, language tags) destroy its seeds,
     # while MinoanER's token-level evidence survives them.
-    return kb.literals().select(
-        F.col("eid").alias(side), F.trim(F.col("obj")).alias("val")
-    ).distinct()
+    return (
+        kb.literals()
+        .select("eid", F.trim(F.col("obj")).alias("token"))
+        .filter(F.col("token") != "")
+        .distinct()
+    )
 
 
 def seed_probabilities(pair: KBPair) -> DataFrame:
-    """(e1, e2, p) from exact shared literal values."""
-    l1 = _norm_literals(pair.kb1, "e1")
-    l2 = _norm_literals(pair.kb2, "e2")
-    f1 = l1.groupBy("val").agg(F.count("*").alias("f1"))
-    f2 = l2.groupBy("val").agg(F.count("*").alias("f2"))
+    """(e1, e2, p) from exact shared literal values; f1(v) and f2(v) are
+    the n1/n2 of their block index."""
+    l1 = _norm_literals(pair.kb1)
+    l2 = _norm_literals(pair.kb2)
     vals = (
-        f1.join(f2, "val")
-        .filter(F.col("f1") * F.col("f2") <= MAX_VALUE_PAIRS)
-        .select("val", (1.0 / (F.col("f1") * F.col("f2"))).alias("ev"))
+        block_index(l1, l2)
+        .filter(F.col("n1") * F.col("n2") <= MAX_VALUE_PAIRS)
+        .select(F.col("key").alias("token"), (1.0 / (F.col("n1") * F.col("n2"))).alias("ev"))
     )
     return (
-        l1.join(vals, "val")
-        .join(l2, "val")
+        l1.withColumnRenamed("eid", "e1")
+        .join(vals, "token")
+        .join(l2.withColumnRenamed("eid", "e2"), "token")
         .groupBy("e1", "e2")
         .agg((1.0 - F.exp(F.sum(F.log1p(-F.col("ev") * 0.999999)))).alias("p"))
     )
@@ -157,76 +167,76 @@ def run_paris(pair: KBPair) -> DataFrame:
     """Iterate seed -> align -> propagate; return matched (e1, e2, sim)."""
     spark = pair.kb1.triples.sparkSession
     seeds = seed_probabilities(pair).cache()
-    fun1, fun2 = functionality(pair.kb1), functionality(pair.kb2)
-    rel1 = pair.kb1.relations().toDF("x1", "r1", "y1")
-    rel2 = pair.kb2.relations().toDF("x2", "r2", "y2")
-
     probs = seeds
-    for _ in range(ITERATIONS):
-        confident = probs.filter(F.col("p") >= THRESHOLD).select("e1", "e2")
-        align = _relation_alignment(rel1, rel2, confident).collect()
-        if not align:
-            break
-        # forward weight a * fun * fun', backward a * finv * finv'
-        weights = spark.createDataFrame(
-            [
-                (r1, r2, a * fun1[r1][0] * fun2[r2][0], a * fun1[r1][1] * fun2[r2][1])
-                for r1, r2, a in align
-            ],
-            "r1 string, r2 string, fwd double, bwd double",
-        )
-        src_p = probs.toDF("x1", "x2", "pn")
-        dst_p = probs.toDF("y1", "y2", "pn")
-        # forward: matched subject pair (x1,x2) -> evidence for the
-        # object pair (y1,y2) of aligned functional relations
-        fwd = (
-            rel1.join(src_p, "x1")
-            .join(weights.filter(F.col("fwd") >= WEIGHT_FLOOR), "r1")
-            .join(rel2, ["r2", "x2"])
-            .select(
-                F.col("y1").alias("e1"), F.col("y2").alias("e2"),
-                (F.col("fwd") * F.col("pn")).alias("ev"),
+    try:
+        fun1, fun2 = functionality(pair.kb1), functionality(pair.kb2)
+        rel1 = pair.kb1.relations().toDF("x1", "r1", "y1")
+        rel2 = pair.kb2.relations().toDF("x2", "r2", "y2")
+        for _ in range(ITERATIONS):
+            confident = probs.filter(F.col("p") >= THRESHOLD).select("e1", "e2")
+            align = _relation_alignment(rel1, rel2, confident).collect()
+            if not align:
+                break
+            # forward weight a * fun * fun', backward a * finv * finv'
+            weights = spark.createDataFrame(
+                [
+                    (r1, r2, a * fun1[r1][0] * fun2[r2][0], a * fun1[r1][1] * fun2[r2][1])
+                    for r1, r2, a in align
+                ],
+                "r1 string, r2 string, fwd double, bwd double",
             )
-        )
-        # backward: matched object pair (y1,y2) -> evidence for the
-        # subject pair, damped by inverse functionality (hub objects
-        # identify nothing)
-        bwd = (
-            rel1.join(dst_p, "y1")
-            .join(weights.filter(F.col("bwd") >= WEIGHT_FLOOR), "r1")
-            .join(rel2, ["r2", "y2"])
-            .select(
-                F.col("x1").alias("e1"), F.col("x2").alias("e2"),
-                (F.col("bwd") * F.col("pn")).alias("ev"),
+            src_p = probs.toDF("x1", "x2", "pn")
+            dst_p = probs.toDF("y1", "y2", "pn")
+            # forward: matched subject pair (x1,x2) -> evidence for the
+            # object pair (y1,y2) of aligned functional relations
+            fwd = (
+                rel1.join(src_p, "x1")
+                .join(weights.filter(F.col("fwd") >= WEIGHT_FLOOR), "r1")
+                .join(rel2, ["r2", "x2"])
+                .select(
+                    F.col("y1").alias("e1"), F.col("y2").alias("e2"),
+                    (F.col("fwd") * F.col("pn")).alias("ev"),
+                )
             )
-        )
-        evidence = (
-            fwd.unionByName(bwd)
-            .groupBy("e1", "e2")
-            .agg(F.exp(F.sum(F.log1p(-F.least(F.col("ev"), F.lit(0.999999))))).alias("keep"))
-        )
-        checkpoint = (
-            seeds.toDF("e1", "e2", "p0")
-            .join(evidence, ["e1", "e2"], "outer")
-            .fillna({"p0": 0.0, "keep": 1.0})
-            .select(
-                "e1", "e2", (1.0 - (1.0 - F.col("p0")) * F.col("keep")).alias("p")
+            # backward: matched object pair (y1,y2) -> evidence for the
+            # subject pair, damped by inverse functionality (hub objects
+            # identify nothing)
+            bwd = (
+                rel1.join(dst_p, "y1")
+                .join(weights.filter(F.col("bwd") >= WEIGHT_FLOOR), "r1")
+                .join(rel2, ["r2", "y2"])
+                .select(
+                    F.col("x1").alias("e1"), F.col("x2").alias("e2"),
+                    (F.col("bwd") * F.col("pn")).alias("ev"),
+                )
             )
-            # negligible probabilities can never reach the acceptance
-            # threshold in the remaining iterations; pruning them bounds
-            # the pair table
-            .filter(F.col("p") >= 0.02)
-            # truncate the lineage: without this the alignment-evidence
-            # self-reference makes the plan tree grow geometrically per
-            # iteration and the driver OOMs just *printing* it
-            .localCheckpoint()
-        )
+            evidence = (
+                fwd.unionByName(bwd)
+                .groupBy("e1", "e2")
+                .agg(F.exp(F.sum(F.log1p(-F.least(F.col("ev"), F.lit(0.999999))))).alias("keep"))
+            )
+            checkpoint = (
+                seeds.toDF("e1", "e2", "p0")
+                .join(evidence, ["e1", "e2"], "outer")
+                .fillna({"p0": 0.0, "keep": 1.0})
+                .select(
+                    "e1", "e2", (1.0 - (1.0 - F.col("p0")) * F.col("keep")).alias("p")
+                )
+                # negligible probabilities can never reach the acceptance
+                # threshold in the remaining iterations; pruning them bounds
+                # the pair table
+                .filter(F.col("p") >= 0.02)
+                # truncate the lineage: without this the alignment-evidence
+                # self-reference makes the plan tree grow geometrically per
+                # iteration and the driver OOMs just *printing* it
+                .localCheckpoint()
+            )
+            if probs is not seeds:
+                _release_checkpoint(probs)
+            probs = checkpoint
+        scored = probs.filter(F.col("p") >= THRESHOLD).toDF("e1", "e2", "sim")
+        return umc_df(scored, THRESHOLD)
+    finally:
         if probs is not seeds:
             _release_checkpoint(probs)
-        probs = checkpoint
-    scored = probs.filter(F.col("p") >= THRESHOLD).toDF("e1", "e2", "sim")
-    result = umc_df(scored, THRESHOLD)
-    if probs is not seeds:
-        _release_checkpoint(probs)
-    seeds.unpersist()
-    return result
+        seeds.unpersist()

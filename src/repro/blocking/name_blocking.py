@@ -4,16 +4,17 @@ Entire entity names (the literal values of the k most important
 attributes per KB, see :mod:`repro.core.attributes`) act as blocking
 keys; their block index is :func:`repro.blocking.token_blocking.block_index`
 over the two name-key tables. A block with exactly one entity from each
-KB is an H1 match: the two entities — and only they — have that name. H1
-needs no index for that: per KB, a name's block count and smallest
-entity id give its one entity whenever the count is 1. The name keys are
-hash-partitioned by name, so those counts and their join shuffle no key.
+KB is an H1 match: the two entities — and only they — have that name. The
+index carries each block's smallest entity id per KB, which is its one
+entity there when the block is 1x1, so H1 is a filter on the index. The
+name keys are hash-partitioned by name, so the index shuffles no key.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.blocking.token_blocking import block_index
 from repro.core.attributes import entity_names
 from repro.kb.schema import KBPair
 
@@ -25,16 +26,6 @@ def name_keys(pair: KBPair, k: int = 2) -> tuple[DataFrame, DataFrame]:
     return n1, n2
 
 
-def _single_owner(keys: DataFrame, eid: str) -> DataFrame:
-    """(token, ``eid``) for the name keys that exactly one entity has."""
-    return (
-        keys.groupBy("token")
-        .agg(F.count("*").alias("n"), F.min("eid").alias(eid))
-        .filter("n = 1")
-        .select("token", eid)
-    )
-
-
 def h1_matches(
     pair: KBPair, k: int = 2, keys: tuple[DataFrame, DataFrame] | None = None
 ) -> DataFrame:
@@ -42,9 +33,4 @@ def h1_matches(
     ``keys`` are name keys the caller has built (``match()`` passes its
     blocking's, uncached), else they are derived here."""
     n1, n2 = keys if keys is not None else name_keys(pair, k)
-    return (
-        _single_owner(n1, "e1")
-        .join(_single_owner(n2, "e2"), "token")
-        .select("e1", "e2")
-        .distinct()
-    )
+    return block_index(n1, n2).filter("n1 = 1 AND n2 = 1").select("e1", "e2").distinct()

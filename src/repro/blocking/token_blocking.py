@@ -12,24 +12,30 @@ from pyspark.sql import functions as F
 
 
 def block_index(tokens1: DataFrame, tokens2: DataFrame) -> DataFrame:
-    """(key, n1, n2) — per-block entity counts, cross-KB blocks only.
+    """(key, n1, n2, e1, e2) — per-block entity counts and smallest entity
+    id per KB, cross-KB blocks only.
 
     ``tokens1``/``tokens2`` are (eid, token) DataFrames from
     :func:`repro.blocking.tokenize.entity_tokens` (or name keys from
-    name blocking — the index logic is shared). One aggregate over both
-    tables, tagged by side, counts each block's entities per KB.
+    name blocking, or PARIS's literals — the index logic is shared). One
+    aggregate over both tables, tagged by side, counts each block's
+    entities per KB and takes its smallest id per KB, which is the
+    block's one entity of that KB when ``n1`` (or ``n2``) is 1.
     """
-    tagged = tokens1.select("token", F.lit(1).alias("side")).unionByName(
-        tokens2.select("token", F.lit(2).alias("side"))
+    tagged = tokens1.select("eid", "token", F.lit(1).alias("side")).unionByName(
+        tokens2.select("eid", "token", F.lit(2).alias("side"))
     )
+    on1, on2 = F.col("side") == 1, F.col("side") == 2
     return (
         tagged.groupBy("token")
         .agg(
-            F.count_if(F.col("side") == 1).alias("n1"),
-            F.count_if(F.col("side") == 2).alias("n2"),
+            F.count_if(on1).alias("n1"),
+            F.count_if(on2).alias("n2"),
+            F.min(F.when(on1, F.col("eid"))).alias("e1"),
+            F.min(F.when(on2, F.col("eid"))).alias("e2"),
         )
         .filter("n1 > 0 AND n2 > 0")
-        .select(F.col("token").alias("key"), "n1", "n2")
+        .select(F.col("token").alias("key"), "n1", "n2", "e1", "e2")
     )
 
 

@@ -48,46 +48,36 @@ def entity_tokens(kb: KB) -> DataFrame:
     )
 
 
-def entity_ngrams(kb: KB, *sizes: int) -> DataFrame:
-    """(eid, n, gram, tf) — token n-grams of every size in ``sizes`` per
-    entity, with term frequencies, in one pass over the values.
+def pair_ngrams(pair: KBPair, *sizes: int) -> DataFrame:
+    """(kb, eid, n, gram, tf) — token n-grams of every size in ``sizes``
+    per entity of both KBs of ``pair``, tagged ``kb`` = 1 or 2, with term
+    frequencies, in one pass over the values.
 
     Grams are built within each value via a Catalyst ``transform`` over
     index sequences (no Python UDF); a value of fewer than n tokens has
     no n-gram. ``tf`` counts occurrences across the whole description,
-    which feeds TF / TF-IDF weighting in BSL. The counts are
-    hash-partitioned by ``gram``.
+    which feeds TF / TF-IDF weighting in BSL. The values of both KBs are
+    unioned before the grams are shuffled, so both share the one
+    partitioning by ``gram`` that BSL's IDF window reads.
     """
-    return _counted_ngrams(value_token_arrays(kb), ["eid"], sizes)
-
-
-def pair_ngrams(pair: KBPair, *sizes: int) -> DataFrame:
-    """(kb, eid, n, gram, tf) — :func:`entity_ngrams` of both KBs of
-    ``pair``, tagged ``kb`` = 1 or 2. The values of both KBs are unioned
-    before the grams are shuffled, so both share the one partitioning by
-    ``gram`` that BSL's IDF window reads."""
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"n-gram sizes must be >= 1, got {sizes}")
     values = (
         value_token_arrays(pair.kb1).withColumn("kb", F.lit(1))
         .unionByName(value_token_arrays(pair.kb2).withColumn("kb", F.lit(2)))
     )
-    return _counted_ngrams(values, ["kb", "eid"], sizes)
-
-
-def _counted_ngrams(values: DataFrame, keys: list[str], sizes: tuple[int, ...]) -> DataFrame:
-    """(<keys>, n, gram, tf) of the (<keys>, tokens) ``values``."""
-    if not sizes or min(sizes) < 1:
-        raise ValueError(f"n-gram sizes must be >= 1, got {sizes}")
     grams = F.expr(
         "transform(sequence(0, size(tokens) - n), "
         "i -> concat_ws(' ', slice(tokens, i + 1, n)))"
     )
+    ns = F.array(*map(F.lit, sorted(set(sizes))))
     return (
         values
-        .select(*keys, "tokens", F.explode(F.array(*map(F.lit, sorted(set(sizes))))).alias("n"))
+        .select("kb", "eid", "tokens", F.explode(ns).alias("n"))
         .filter(F.size("tokens") >= F.col("n"))
-        .select(*keys, "n", F.explode(grams).alias("gram"))
+        .select("kb", "eid", "n", F.explode(grams).alias("gram"))
         .repartition("gram")
-        .groupBy(*keys, "n", "gram")
+        .groupBy("kb", "eid", "n", "gram")
         .agg(F.count("*").alias("tf"))
     )
 

@@ -1,9 +1,9 @@
 """The four threshold-free matching heuristics H1-H4 (paper, Section III).
 
-H1 lives in :mod:`repro.blocking.name_blocking` (it *is* name blocking);
-this module implements H2 (value), H3 (rank aggregation), H4
-(reciprocity) and the neighbor similarity they share. All are pure
-DataFrame -> DataFrame transformations.
+H1 lives in :mod:`repro.blocking.name_blocking`: its pairs are the 1x1
+blocks of the name block index. This module implements H2 (value), H3
+(rank aggregation), H4 (reciprocity) and the neighbor similarity they
+share. All are pure DataFrame -> DataFrame transformations.
 
 H2-H4 read the same per-entity candidate lists, ranked by valueSim and
 by neighborNSim, and :func:`ranked_candidates` builds them once: one
@@ -11,9 +11,11 @@ by neighborNSim, and :func:`ranked_candidates` builds them once: one
 nsim > 0 rows and the pairs already matched, ranked in one window pass
 per side. A pair missing from a list has a null score, which ranks last
 and is never in the top. One rule breaks every tie: score desc, then the
-other side's id asc (:func:`_ranking`). H2, H3 and H4 are flags on the
-table's rows; :func:`h2_matches`, :func:`h3_matches` and
-:func:`h4_filter` select them. One table serves all three because:
+other side's id asc (:func:`_ranking`). Each row carries a label, the
+heuristic that proposes the pair (H1 for a matched pair, H2, H3 or
+none), and H4's verdict; :func:`h2_matches` and :func:`h3_matches`
+filter on the label and :func:`h4_filter` on the verdict. One table
+serves all three because:
 
 - excluding the matched E1 entities drops whole E1 partitions, so no E1
   entity's ranks depend on the exclusion, and H4's E2-side ranks span the
@@ -91,18 +93,21 @@ def ranked_candidates(
     theta: float = 0.6,
     k: int = 15,
 ) -> DataFrame:
-    """(e1, e2, matched, e1_matched, h2, h3, ok) — the one ranked table.
+    """(e1, e2, heuristic, ok) — the one ranked table.
 
     One row per pair in ``value_sims``, in the nsim > 0 rows of
     ``neighbor_sims`` or in ``matched``; a score the pair lacks is null.
-    ``matched`` marks the pairs of ``matched`` and ``e1_matched`` every
-    pair of their E1 entities. The flags read the ranks:
+    ``heuristic`` labels the pair that proposes it, null for the rest:
 
-    - ``h2``: the pair is its E1 entity's best by valueSim, with valueSim >= 1;
-    - ``h3``: the pair co-occurs and tops its E1 entity's rank aggregate
-      (weights theta / 1 - theta), and that entity's best valueSim is < 1;
-    - ``ok``: H4 reciprocity — each side has the other among its top
-      ``k`` by valueSim or by nsim.
+    - ``H1``: the pair is in ``matched``; no other pair of its E1 entity
+      is labelled;
+    - ``H2``: the pair is its E1 entity's best by valueSim, with valueSim >= 1;
+    - ``H3``: the pair co-occurs and tops its E1 entity's rank aggregate
+      (weights theta / 1 - theta), and that entity's best valueSim is < 1,
+      so H2 and H3 never label the same entity.
+
+    ``ok`` is H4 reciprocity: each side has the other among its top ``k``
+    by valueSim or by nsim.
     """
     none = F.lit(None).cast("double")
 
@@ -131,7 +136,7 @@ def ranked_candidates(
     e1_whole = by_value.rowsBetween(*_WHOLE_PARTITION)
     t = t.select(
         "e1", "e2", "sim", "nsim", "matched",
-        F.max("matched").over(e1_whole).alias("e1_matched"),
+        (~F.max("matched").over(e1_whole)).alias("open"),
         ((F.row_number().over(by_value) == 1) & (F.col("sim") >= 1.0)).alias("h2"),
         (F.max("sim").over(e1_whole) < 1.0).alias("value_open"),
         (
@@ -146,9 +151,14 @@ def ranked_candidates(
         & F.col("agg").isNotNull()
         & (F.row_number().over(_ranking("e1", "agg", "sim")) == 1)
     )
-    t = t.select("*", h3.alias("h3"))
+    heuristic = (
+        F.when(F.col("matched"), "H1")
+        .when(F.col("open") & F.col("h2"), "H2")
+        .when(F.col("open") & h3, "H3")
+    )
+    t = t.select("*", heuristic.alias("heuristic"))
     ok = F.col("ok1") & (_top("e2", "sim", k) | _top("e2", "nsim", k))
-    return t.select("e1", "e2", "matched", "e1_matched", "h2", "h3", ok.alias("ok"))
+    return t.select("e1", "e2", "heuristic", ok.alias("ok"))
 
 
 def h2_matches(value_sims: DataFrame, matched: DataFrame | None = None) -> DataFrame:
@@ -164,7 +174,7 @@ def h2_matches(value_sims: DataFrame, matched: DataFrame | None = None) -> DataF
     """
     return (
         ranked_candidates(value_sims, matched=matched)
-        .filter(~F.col("e1_matched") & F.col("h2"))
+        .filter("heuristic = 'H2'")
         .select("e1", "e2")
     )
 
@@ -187,7 +197,7 @@ def h3_matches(
     """
     return (
         ranked_candidates(value_sims, neighbor_sims, matched, theta)
-        .filter(~F.col("e1_matched") & F.col("h3"))
+        .filter("heuristic = 'H3'")
         .select("e1", "e2")
     )
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.blocking import name_blocking, purging
 from repro.blocking.stats import Blocking, block_pair
@@ -57,33 +56,27 @@ def proposals(
 ) -> DataFrame:
     """(e1, e2, heuristic, ok) — every pair H1, H2 or H3 proposes, read
     from one ranked candidate table, with H4's verdict ``ok``."""
-    open_e1 = ~F.col("e1_matched")
-    heuristic = (
-        F.when(F.col("matched"), "H1")
-        .when(open_e1 & F.col("h2"), "H2")
-        .when(open_e1 & F.col("h3"), "H3")
-    )
-    return (
-        heuristics.ranked_candidates(vsims, nsims, h1, cfg.theta, cfg.K)
-        .select("e1", "e2", heuristic.alias("heuristic"), "ok")
-        .filter(F.col("heuristic").isNotNull())
+    return heuristics.ranked_candidates(vsims, nsims, h1, cfg.theta, cfg.K).filter(
+        "heuristic IS NOT NULL"
     )
 
 
 def resolve(pair: KBPair, b: Blocking, cfg: MinoanERConfig) -> MinoanERResult:
     """Definition 1 over the open blocking ``b`` of ``pair``."""
     vsims = value_sim.value_similarities(*b.tokens, b.kept).cache()
-    nsims = heuristics.neighbor_similarities(
-        vsims,
-        relations.top_neighbors(pair.kb1, cfg.N),
-        relations.top_neighbors(pair.kb2, cfg.N),
-    )
-    h1 = name_blocking.h1_matches(pair, cfg.k, b.names)
-
-    # Materialize on the driver: results are small (O(|E1|) rows) and this
-    # lets the cached valueSim be released deterministically.
-    rows = proposals(vsims, nsims, h1, cfg).collect()
-    vsims.unpersist()
+    try:
+        nsims = heuristics.neighbor_similarities(
+            vsims,
+            relations.top_neighbors(pair.kb1, cfg.N),
+            relations.top_neighbors(pair.kb2, cfg.N),
+        )
+        h1 = name_blocking.h1_matches(pair, cfg.k, b.names)
+        # Materialize on the driver: results are small (O(|E1|) rows) and
+        # this lets the cached valueSim be released deterministically, even
+        # if a step raises.
+        rows = proposals(vsims, nsims, h1, cfg).collect()
+    finally:
+        vsims.unpersist()
     kept = [(r["e1"], r["e2"], r["heuristic"]) for r in rows if r["ok"]]
     counts = {h: sum(row[2] == h for row in kept) for h in HEURISTICS}
     counts["total"] = len(kept)

@@ -10,13 +10,13 @@ tiny-pair tests at the end pin how the heuristics compose through
 ``match()``.
 
 The plan-shape budgets below count the Exchange and Sort nodes of H1,
-valueSim, the ranked table, H3, H4, the one-pass BSL scoring plan and the
-BSL candidates.
+valueSim, the ranked table, H3, H4, the one-pass BSL scoring plan, the
+BSL candidates and PARIS's seeds.
 """
 import pytest
 from pyspark.sql import DataFrame
 
-from repro.baselines import bsl
+from repro.baselines import bsl, paris
 from repro.blocking import name_blocking
 from repro.blocking.stats import block_pair
 from repro.core import heuristics, relations, value_sim
@@ -165,16 +165,18 @@ def _plan_shape(df: DataFrame) -> tuple[int, int]:
 # kept keys took (7, 6) for valueSim (Restaurant). Hash-partitioning the
 # tokens, name keys and neighbor lists by the (entity, key) pair, not the
 # key their readers join on, took (3, 2) for H1 and valueSim and (7, 4)
-# for neighborNSim.
+# for neighborNSim. Counting each KB's name blocks apart and joining the
+# keys that one entity has took (1, 2) for H1; filtering the 1x1 blocks
+# of the name block index takes (1, 0).
 PLAN_BUDGET = {
-    "h1": (1, 2), "value_sim": (1, 0), "nsim": (5, 4),
+    "h1": (1, 0), "value_sim": (1, 0), "nsim": (5, 4),
     "ranked": (2, 6), "h3": (4, 7), "h4": (4, 8),
 }
 
 
 def test_blocking_plan_shape_within_budget(stages):
-    """H1 counts name blocks and valueSim weighs the purged index, each
-    without building a block index again; neither shuffles its cached
+    """H1 filters the name block index and valueSim weighs the purged
+    token index without building it again; neither shuffles its cached
     keyed input, and neighborNSim shuffles no neighbor list twice."""
     *_, shapes = stages
     for stage, (shuffles, sorts) in shapes.items():
@@ -233,6 +235,18 @@ def test_candidates_plan_shape_within_budget(restaurant_pair):
     with block_pair(restaurant_pair, CFG.k, CFG.budget_factor) as b:
         shape = _plan_shape(b.candidates())
     assert shape[0] <= CANDIDATES_PLAN_BUDGET[0] and shape[1] <= CANDIDATES_PLAN_BUDGET[1], shape
+
+
+# (Exchange, Sort) budget of PARIS's seed plan on Restaurant, uncached.
+# Counting f1 and f2 with one aggregate per KB and joining them took (9, 4);
+# reading both from the literal values' block index takes (8, 3).
+PARIS_SEED_PLAN_BUDGET = (8, 3)
+
+
+def test_paris_seed_plan_shape_within_budget(restaurant_pair):
+    """PARIS's seeds count the literal values' blocks once, in the block index."""
+    shape = _plan_shape(paris.seed_probabilities(restaurant_pair))
+    assert shape[0] <= PARIS_SEED_PLAN_BUDGET[0] and shape[1] <= PARIS_SEED_PLAN_BUDGET[1], shape
 
 
 # ------------------------------------------------ Definition 1 on tiny pairs

@@ -8,6 +8,7 @@ import hashlib
 import pytest
 
 from repro.blocking.purging import PurgeStats
+from repro.core import minoaner
 from repro.core.minoaner import MinoanERConfig, match
 from repro.eval.metrics import precision_recall_f1
 from repro.kb import datasets
@@ -19,44 +20,46 @@ def test_config_defaults_match_paper():
     assert (cfg.K, cfg.N, cfg.k, cfg.theta) == (15, 3, 2, 0.6)
 
 
-def test_toy_end_to_end(toy_pair):
-    res = match(toy_pair)
-    got = {(r.e1, r.e2) for r in res.matches.collect()}
+@pytest.fixture(scope="module")
+def toy_result(toy_pair):
+    """One match() on the toy pair, shared by the tests that only read it."""
+    return match(toy_pair)
+
+
+def test_toy_end_to_end(toy_pair, toy_result):
+    got = {(r.e1, r.e2) for r in toy_result.matches.collect()}
     # all three GT pairs found, each by its designed heuristic
-    by_h = {(r.e1, r.e2): r.heuristic for r in res.matches.collect()}
+    by_h = {(r.e1, r.e2): r.heuristic for r in toy_result.matches.collect()}
     assert by_h[(1, 101)] == "H1"
     assert by_h[(2, 102)] == "H2"
     assert by_h[(3, 103)] == "H3"
-    m = precision_recall_f1(res.matches, toy_pair.ground_truth)
+    m = precision_recall_f1(toy_result.matches, toy_pair.ground_truth)
     assert m["recall"] == 100.0 and m["precision"] == 100.0
 
 
-def test_counts_consistent(toy_pair):
-    res = match(toy_pair)
-    assert res.counts["total"] == res.matches.count()
-    assert res.counts["total"] == sum(res.counts[h] for h in ("H1", "H2", "H3"))
+def test_counts_consistent(toy_result):
+    assert toy_result.counts["total"] == toy_result.matches.count()
+    assert toy_result.counts["total"] == sum(toy_result.counts[h] for h in ("H1", "H2", "H3"))
     for h in ("H1", "H2", "H3"):
-        assert res.proposed[h] - res.rejected[h] == res.counts[h]
+        assert toy_result.proposed[h] - toy_result.rejected[h] == toy_result.counts[h]
 
 
-def test_result_reports_block_purging(toy_pair):
+def test_result_reports_block_purging(toy_result):
     """The toy B_T: acme, corp, beta and qux are 1x1 blocks, zeta 1x2 and
     common 2x3, 12 comparisons; 1% of 4x5 is below the 1,000-comparison
     floor, so every block is kept."""
-    assert match(toy_pair).purge == PurgeStats(
+    assert toy_result.purge == PurgeStats(
         threshold=6, blocks_kept=6, blocks_purged=0, comparisons_kept=12, budget=1000.0
     )
 
 
-def test_output_schema(toy_pair):
-    res = match(toy_pair)
-    assert res.matches.columns == ["e1", "e2", "heuristic"]
+def test_output_schema(toy_result):
+    assert toy_result.matches.columns == ["e1", "e2", "heuristic"]
 
 
-def test_at_most_one_match_per_e1_from_h2_h3(toy_pair):
-    res = match(toy_pair)
+def test_at_most_one_match_per_e1_from_h2_h3(toy_result):
     per_e1 = (
-        res.matches.filter("heuristic != 'H1'")
+        toy_result.matches.filter("heuristic != 'H1'")
         .groupBy("e1")
         .count()
         .filter("count > 1")
@@ -244,3 +247,20 @@ def test_match_releases_its_caches(restaurant_match_trace):
     """Every DataFrame match() caches is unpersisted before it returns."""
     _, before, after = restaurant_match_trace
     assert after == before
+
+
+def test_match_releases_its_caches_when_a_step_raises(spark, toy_pair, monkeypatch):
+    """The cached valueSim is released when the proposals' collect raises."""
+    persisted = spark.sparkContext._jsc.getPersistentRDDs
+    before = set(persisted().keys())
+    real = minoaner.proposals
+
+    def failing(*args):
+        real(*args).count()  # runs the plan that materializes the valueSim cache
+        assert set(persisted().keys()) > before
+        raise RuntimeError("collect failed")
+
+    monkeypatch.setattr(minoaner, "proposals", failing)
+    with pytest.raises(RuntimeError, match="collect failed"):
+        match(toy_pair)
+    assert set(persisted().keys()) == before

@@ -43,6 +43,19 @@ def test_seed_case_sensitive(spark):
     assert paris.seed_probabilities(pair).count() == 0
 
 
+def test_blank_literals_are_no_evidence(spark):
+    """Values that are blank after trimming ("  " and " ") are not a
+    shared literal, so they seed nothing and PARIS matches nothing."""
+    pair = pair_from_rows(
+        spark, "t",
+        [(1, "p", "  ", False), (2, "p", "left", False)],
+        [(11, "q", " ", False), (12, "q", "right", False)],
+        [],
+    )
+    assert paris.seed_probabilities(pair).count() == 0
+    assert paris.run_paris(pair).count() == 0
+
+
 def test_seed_overfrequent_value_ignored(spark):
     rows1 = [(i, "p", "stop", False) for i in range(40)]
     rows2 = [(100 + i, "q", "stop", False) for i in range(40)]
@@ -138,6 +151,23 @@ def test_paris_releases_its_checkpoints(rel_pair_trace):
     before run_paris returns."""
     _, _, before, after = rel_pair_trace
     assert after == before
+
+
+def test_paris_releases_its_caches_when_a_step_raises(spark, monkeypatch):
+    """The seed cache and the last checkpoint are released when the UMC
+    step raises."""
+    pair = _rel_pair(spark)
+    persisted = spark.sparkContext._jsc.getPersistentRDDs
+    before = set(persisted().keys())
+
+    def failing(scored, threshold):
+        assert set(persisted().keys()) > before
+        raise RuntimeError("umc failed")
+
+    monkeypatch.setattr(paris, "umc_df", failing)
+    with pytest.raises(RuntimeError, match="umc failed"):
+        paris.run_paris(pair)
+    assert set(persisted().keys()) == before
 
 
 def test_no_relations_means_seeds_only(spark):

@@ -59,9 +59,9 @@ def test_block_index_vs_oracle(toy_pair, toy_tokens):
     t1, t2 = toy_tokens
     idx = token_blocking.block_index(t1, t2).withColumnRenamed("key", "token")
     sql = """
-        WITH c1 AS (SELECT token, COUNT(*) AS n1 FROM t1 GROUP BY token),
-             c2 AS (SELECT token, COUNT(*) AS n2 FROM t2 GROUP BY token)
-        SELECT c1.token AS token, n1, n2 FROM c1 JOIN c2 USING (token)
+        WITH c1 AS (SELECT token, COUNT(*) AS n1, MIN(eid) AS e1 FROM t1 GROUP BY token),
+             c2 AS (SELECT token, COUNT(*) AS n2, MIN(eid) AS e2 FROM t2 GROUP BY token)
+        SELECT c1.token AS token, n1, n2, e1, e2 FROM c1 JOIN c2 USING (token)
     """
     assert_equivalent(idx, sql, t1=t1.toPandas(), t2=t2.toPandas())
 

@@ -4,7 +4,6 @@ from pyspark.sql import functions as F
 
 from repro.blocking.tokenize import (
     avg_tokens_per_entity,
-    entity_ngrams,
     entity_tokens,
     pair_ngrams,
     value_token_arrays,
@@ -58,42 +57,39 @@ def test_value_token_arrays_keep_order(kb):
     assert arrays == [("hello", "again"), ("hello", "world")]
 
 
+def _ngrams(spark, rows, *sizes):
+    """:func:`pair_ngrams` of a pair whose E1 has ``rows`` and E2 nothing."""
+    return pair_ngrams(pair_from_rows(spark, "p", rows, [], []), *sizes)
+
+
 def test_unigrams_with_tf(spark):
-    kb = kb_from_rows(spark, "E1", [(1, "a", "x x y", False)])
-    grams = {(r.gram, r.tf) for r in entity_ngrams(kb, 1).collect()}
+    grams = {(r.gram, r.tf) for r in _ngrams(spark, [(1, "a", "x x y", False)], 1).collect()}
     assert grams == {("x", 2), ("y", 1)}
 
 
 def test_bigrams_within_value_only(spark):
-    kb = kb_from_rows(
-        spark, "E1", [(1, "a", "x y z", False), (1, "b", "w", False)]
-    )
-    grams = {r.gram for r in entity_ngrams(kb, 2).collect()}
+    rows = [(1, "a", "x y z", False), (1, "b", "w", False)]
+    grams = {r.gram for r in _ngrams(spark, rows, 2).collect()}
     # no bigram spans the two values (no "z w")
     assert grams == {"x y", "y z"}
 
 
 def test_trigrams(spark):
-    kb = kb_from_rows(spark, "E1", [(1, "a", "p q r s", False)])
-    grams = {r.gram for r in entity_ngrams(kb, 3).collect()}
+    grams = {r.gram for r in _ngrams(spark, [(1, "a", "p q r s", False)], 3).collect()}
     assert grams == {"p q r", "q r s"}
 
 
 def test_trigram_of_short_value_is_empty(spark):
-    kb = kb_from_rows(spark, "E1", [(1, "a", "p q", False)])
-    assert entity_ngrams(kb, 3).count() == 0
+    assert _ngrams(spark, [(1, "a", "p q", False)], 3).count() == 0
 
 
 def test_ngrams_all_sizes_in_one_pass(spark):
     """One call over several sizes equals the union of single-size calls."""
-    kb = kb_from_rows(
-        spark, "E1",
-        [(1, "a", "p q r p q", False), (1, "b", "q r", False), (2, "a", "s", False)],
-    )
+    rows = [(1, "a", "p q r p q", False), (1, "b", "q r", False), (2, "a", "s", False)]
     cols = ["eid", "n", "gram", "tf"]
-    together = sorted(tuple(r) for r in entity_ngrams(kb, 1, 2, 3).select(cols).collect())
+    together = sorted(tuple(r) for r in _ngrams(spark, rows, 1, 2, 3).select(cols).collect())
     apart = sorted(
-        tuple(r) for n in (1, 2, 3) for r in entity_ngrams(kb, n).select(cols).collect()
+        tuple(r) for n in (1, 2, 3) for r in _ngrams(spark, rows, n).select(cols).collect()
     )
     assert together == apart
     assert {r[1] for r in together} == {1, 2, 3}
@@ -102,24 +98,23 @@ def test_ngrams_all_sizes_in_one_pass(spark):
 def test_pair_ngrams_tag_each_kb(spark):
     """Both KBs' grams, counted in one pass, equal each KB's own grams
     tagged by its side; an id shared by both KBs stays two documents."""
-    pair = pair_from_rows(
-        spark, "p", [(1, "a", "p q p", False)], [(1, "a", "p q", False), (2, "a", "q", False)], []
-    )
+    rows1 = [(1, "a", "p q p", False)]
+    rows2 = [(1, "a", "p q", False), (2, "a", "q", False)]
+    pair = pair_from_rows(spark, "p", rows1, rows2, [])
     cols = ["eid", "n", "gram", "tf"]
     both = sorted(tuple(r) for r in pair_ngrams(pair, 1, 2).select("kb", *cols).collect())
     apart = sorted(
         (side, *r)
-        for side, kb in ((1, pair.kb1), (2, pair.kb2))
-        for r in entity_ngrams(kb, 1, 2).select(cols).collect()
+        for side, rows in ((1, rows1), (2, rows2))
+        for r in _ngrams(spark, rows, 1, 2).select(cols).collect()
     )
     assert both == apart
     assert (1, 1, 1, "p", 2) in both and (2, 1, 1, "p", 1) in both
 
 
 def test_ngram_invalid_n(spark):
-    kb = kb_from_rows(spark, "E1", [(1, "a", "p", False)])
     with pytest.raises(ValueError):
-        entity_ngrams(kb, 0)
+        _ngrams(spark, [(1, "a", "p", False)], 0)
 
 
 def test_avg_tokens(kb):
